@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, conv2d, mul, patches, pixel_shuffle, reshape, softmax, tsum, upsample_nearest
+from .tensor import Tensor, conv2d, patches, pixel_shuffle, reassemble_hood, softmax
 
 
 @dataclass
@@ -108,15 +108,13 @@ def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleCo
 
 def reassemble(x: Tensor, field: ReassemblyKernelField, config: UpsampleConfig) -> Tensor:
     """Weighted neighborhood sums: [H,W,C] + kernels -> [sigma*H, sigma*W, C]."""
-    h, w, c = x.shape
+    h, w, _ = x.shape
     sigma, k = config.sigma, config.k_up
     expect = (sigma * h, sigma * w, config.kernel_area)
     if field.weights.shape != expect:
         raise DimensionError(f"kernel field shape {field.weights.shape} != {expect}")
     hood = patches(x, k, k, stride=1, padding=k // 2)  # [H, W, k^2, C]
-    hood_up = upsample_nearest(hood, sigma)  # [sH, sW, k^2, C]
-    weighted = mul(hood_up, reshape(field.weights, (sigma * h, sigma * w, config.kernel_area, 1)))
-    return tsum(weighted, axis=2)
+    return reassemble_hood(hood, field.weights)
 
 
 def carafe_upsample(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:

@@ -5,6 +5,8 @@ header, then the payload: concatenated TSR1 tensor records.  The header
 carries the format version, the full network config, the iteration
 counter, the training rng state, and (name, offset, length) for every
 parameter and momentum buffer.  Offsets are relative to the payload start.
+Saving replaces the target atomically: the bytes go to a temp file in the
+same directory, which is fsynced and then renamed over the target.
 
 Offsets, shapes and dtypes make loading strict: a checkpoint written for a
 different architecture fails with an error naming the first offending
@@ -13,8 +15,11 @@ tensor rather than silently mis-assigning weights.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,11 +71,23 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "momenta": index["momenta"],
     }
     head = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(head)))
-        f.write(head)
-        f.write(payload)
+    # write a sibling temp file and rename it over the target, so a crash
+    # mid-write leaves the previous checkpoint intact
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(head)))
+            f.write(head)
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

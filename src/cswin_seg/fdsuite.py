@@ -113,9 +113,10 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
 
     run("permute_reshape_split_concat", structural, [("x", xt)])
 
-    xu = _probe(rng, (3, 2, 2))
-    w = _weighted(rng, (6, 4, 2))
-    run("upsample_nearest", lambda: w(T.upsample_nearest(xu, 2)), [("x", xu)])
+    hood = _probe(rng, (2, 3, 9, 2))
+    kern = _probe(rng, (4, 6, 9))
+    w = _weighted(rng, (4, 6, 2))
+    run("reassemble_hood", lambda: w(T.reassemble_hood(hood, kern)), [("hood", hood), ("field", kern)])
 
     xb2 = _probe(rng, (3, 4, 2))
     w = _weighted(rng, (6, 8, 2))

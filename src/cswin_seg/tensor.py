@@ -316,7 +316,7 @@ _GELU_A = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * xd**3)
+    u = _GELU_C * (xd + _GELU_A * xd * xd * xd)  # float32 ** takes numpy's slow pow loop
     t = np.tanh(u)
     out = 0.5 * xd * (1.0 + t)
 
@@ -581,18 +581,42 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
     return tsum(prod, axis=2)
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Repeat each pixel factor x factor times along the two leading axes."""
-    if factor < 1:
-        raise DimensionError("upsample factor must be >= 1")
-    out = np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1)
+def reassemble_hood(hood: Tensor, field: Tensor) -> Tensor:
+    """Per-pixel kernel sums over gathered neighborhoods.
+
+    hood [H,W,K,C] and field [s*H, s*W, K] -> [s*H, s*W, C]: output pixel
+    (i*s + di, j*s + dj) is field[i*s + di, j*s + dj] @ hood[i, j].  Each
+    source pixel runs one [s^2,K] x [K,C] matmul, so the upsampled
+    neighborhood [s*H, s*W, K, C] is never built.
+    """
+    if hood.ndim != 4 or field.ndim != 3:
+        raise DimensionError(f"reassemble_hood expects [H,W,K,C] and [sH,sW,K], got {hood.shape} and {field.shape}")
+    _check_dtypes("reassemble_hood", hood, field)
+    h, w, k, c = hood.shape
+    s = field.shape[0] // max(h, 1)
+    if s < 1 or field.shape != (s * h, s * w, k):
+        raise DimensionError(f"reassemble_hood: field {field.shape} is not an integer upsampling of hood {hood.shape}")
+
+    def per_source(a):
+        # [s*H, s*W, n] -> [H, W, s^2, n], the s x s block of each source pixel
+        n = a.shape[-1]
+        return a.reshape(h, s, w, s, n).transpose(0, 2, 1, 3, 4).reshape(h, w, s * s, n)
+
+    def to_image(a):
+        # inverse of per_source
+        n = a.shape[-1]
+        return a.reshape(h, w, s, s, n).transpose(0, 2, 1, 3, 4).reshape(s * h, s * w, n)
+
+    kern = per_source(field.data)
+    out = to_image(np.matmul(kern, hood.data))
 
     def grad_fn(g):
-        h, w = x.shape[0], x.shape[1]
-        gg = g.reshape((h, factor, w, factor) + x.shape[2:])
-        return (gg.sum(axis=(1, 3)),)
+        gs = per_source(g)
+        dhood = np.matmul(np.swapaxes(kern, -1, -2), gs)
+        dfield = to_image(np.matmul(gs, np.swapaxes(hood.data, -1, -2)))
+        return dhood, dfield
 
-    return _emit("upsample_nearest", (x,), out, grad_fn)
+    return _emit("reassemble_hood", (hood, field), out, grad_fn)
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cswin_seg.carafe import (
 )
 from cswin_seg.errors import ConfigError, DimensionError
 from cswin_seg.gradcheck import check_gradients
-from cswin_seg.tensor import Tensor, tsum
+from cswin_seg.tensor import Tape, Tensor, backward, reassemble_hood, tsum
 
 from oracles import reassemble_naive
 
@@ -118,12 +120,13 @@ class TestReassemble:
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(4)
-        cfg = UpsampleConfig(sigma=2, k_up=3)
-        x = rng.uniform(-1, 1, (5, 5, 3))
-        raw = rng.uniform(0, 1, (10, 10, 9))
-        f = raw / raw.sum(axis=-1, keepdims=True)
-        got = reassemble(Tensor(x, dtype="f64"), ReassemblyKernelField(Tensor(f, dtype="f64")), cfg)
-        np.testing.assert_allclose(got.data, reassemble_naive(x, f, 2, 3), atol=1e-6)
+        for sigma, k in ((1, 1), (2, 3), (3, 3), (4, 5)):
+            cfg = UpsampleConfig(sigma=sigma, k_up=k)
+            x = rng.uniform(-1, 1, (5, 3, 2))
+            raw = rng.uniform(0, 1, (5 * sigma, 3 * sigma, k * k))
+            f = raw / raw.sum(axis=-1, keepdims=True)
+            got = reassemble(Tensor(x, dtype="f64"), ReassemblyKernelField(Tensor(f, dtype="f64")), cfg)
+            np.testing.assert_allclose(got.data, reassemble_naive(x, f, sigma, k), atol=1e-6, err_msg=f"sigma={sigma} k={k}")
 
     def test_convex_hull_bound_interior(self):
         rng = np.random.default_rng(5)
@@ -151,6 +154,33 @@ class TestReassemble:
         cfg = UpsampleConfig(sigma=2, k_up=3)
         with pytest.raises(DimensionError):
             reassemble(Tensor(np.zeros((4, 4, 2))), ReassemblyKernelField(Tensor(np.zeros((4, 4, 9)))), cfg)
+
+    def test_hood_field_shape_mismatch(self):
+        hood = Tensor(np.zeros((4, 3, 9, 2)))
+        for shape in ((8, 6, 4), (8, 9, 9), (9, 6, 9), (2, 3, 9), (8, 6)):
+            with pytest.raises(DimensionError):
+                reassemble_hood(hood, Tensor(np.zeros(shape)))
+
+    def test_peak_memory_below_upsampled_hood(self):
+        # taped forward and backward must never hold an array the size of
+        # the upsampled neighborhood [sigma*H, sigma*W, k^2, C]
+        rng = np.random.default_rng(8)
+        h, c, sigma, k = 28, 16, 4, 5
+        cfg = UpsampleConfig(sigma=sigma, k_up=k)
+        x = Tensor(rng.uniform(-1, 1, (h, h, c)), dtype="f32", requires_grad=True)
+        raw = rng.uniform(0, 1, (sigma * h, sigma * h, k * k))
+        field = Tensor(raw / raw.sum(axis=-1, keepdims=True), dtype="f32", requires_grad=True)
+        upsampled_hood_bytes = (sigma * h) ** 2 * k * k * c * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tsum(reassemble(x, ReassemblyKernelField(field), cfg))
+            backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and field.grad is not None
+        assert peak < upsampled_hood_bytes, (peak, upsampled_hood_bytes)
 
 
 class TestGradients:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from cswin_seg import checkpoint
 from cswin_seg.checkpoint import (
     apply_to_model,
     load_checkpoint,
@@ -97,3 +100,56 @@ class TestNegativePaths:
         b = Model.create(micro(embed_dim=16), seed=0)
         with pytest.raises(FormatError, match="shape"):
             apply_to_model(load_checkpoint(p), b)
+
+
+class _FailingFile:
+    """A file whose third write stores half its bytes and then fails."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes == 3:
+            self.f.write(bytes(b[: len(b) // 2]))
+            raise OSError(28, "No space left on device")
+        return self.f.write(b)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestCrashSafeSave:
+    @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fault):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=1), iteration=1))
+        before = p.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise OSError(5, f"injected {fault} failure")
+
+        if fault == "write":
+            real_fdopen = os.fdopen
+            monkeypatch.setattr(checkpoint.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k)))
+        else:
+            monkeypatch.setattr(checkpoint.os, fault, boom)
+        with pytest.raises(OSError):
+            save_checkpoint(p, snapshot(Model.create(micro(), seed=2), iteration=2))
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
+        assert load_checkpoint(p).iteration == 1
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=1), iteration=1))
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=2), iteration=2))
+        assert load_checkpoint(p).iteration == 2
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]

@@ -235,17 +235,6 @@ class TestStructural:
 
 
 class TestUpsample:
-    def test_nearest_repeats_pixels(self):
-        x = Tensor(np.arange(4.0).reshape(2, 2, 1))
-        out = T.upsample_nearest(x, 2)
-        np.testing.assert_array_equal(out.data[:, :, 0], [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
-
-    def test_nearest_gradient(self):
-        rng = np.random.default_rng(19)
-        x = randt(rng, (3, 2, 2))
-        w = Tensor(rng.uniform(-1, 1, (6, 4, 2)), dtype="f64")
-        check_gradients(lambda: T.tsum(T.upsample_nearest(x, 2) * w), [("x", x)])
-
     def test_bilinear_constant_preserved(self):
         x = Tensor(np.full((3, 3, 2), 1.25))
         out = T.upsample_bilinear(x, 2)
