@@ -105,7 +105,7 @@ def load_checkpoint(path) -> Checkpoint:
     if header.get("version") != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
     config = NetworkConfig.from_dict(header["config"])
-    payload = data[head_start + head_len :]
+    payload = memoryview(data)[head_start + head_len :]  # slices of it copy nothing
 
     def read_section(entries) -> dict[str, Tensor]:
         out = {}
@@ -144,7 +144,7 @@ def apply_to_model(ckpt: Checkpoint, model: Model) -> None:
             raise FormatError(
                 f"checkpoint parameter {name}{_stage_hint(name)}: shape {stored.shape} != model {own[name].shape}"
             )
-        own[name].data[...] = stored.data.astype(own[name].data.dtype)
+        own[name].data[...] = stored.data  # casts to the model's dtype in place
 
 
 def restore_model(path) -> tuple[Model, Checkpoint]:

@@ -168,6 +168,10 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     lc = _probe(rng, (4, 4, 3))
     run("cross_entropy_loss", lambda: cross_entropy_loss(lc, labels), [("logits", lc)])
 
+    xli, wli, bli = _probe(rng, (2, 3, 4)), _probe(rng, (4, 5)), _probe(rng, (5,))
+    w = _weighted(rng, (2, 3, 5))
+    run("linear", lambda: w(T.linear(xli, wli, bli)), [("x", xli), ("w", wli), ("b", bli)])
+
     if full:
         results.append(end_to_end_check(h=h, tol=tol, seed=seed))
     return results

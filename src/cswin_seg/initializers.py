@@ -8,12 +8,15 @@ from .tensor import DTYPES, Tensor
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype: str = "f32") -> Tensor:
-    """Normal(0, std) with resampling outside +-2 std."""
+    """Normal(0, std) with resampling outside +-2 std.  Each round re-checks
+    only the entries just redrawn, in ascending flat order, so the draws match
+    resampling a boolean mask over the whole array."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2 * std)
+    while idx.size:
+        flat[idx] = rng.normal(0.0, std, size=idx.size)
+        idx = idx[np.abs(flat[idx]) > 2 * std]
     return Tensor(out.astype(DTYPES[dtype]), requires_grad=True)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .tensor import DTYPES, Tensor, log_softmax, softmax, split, tsum
+from .tensor import DTYPES, Tensor, log_softmax, reshape, softmax, tsum
 
 
 @dataclass
@@ -49,19 +49,13 @@ def _check_pair(logits: Tensor, labels: np.ndarray) -> None:
 def dice_loss(logits: Tensor, labels: np.ndarray, smooth: float = 1e-5) -> Tensor:
     """1 - mean over classes of the smoothed soft-Dice overlap."""
     _check_pair(logits, labels)
-    k = logits.shape[2]
-    target = one_hot(labels, k, logits.dtype)
-    probs = softmax(logits, axis=-1)
-    p_cls = split(probs, [1] * k, axis=-1)
-    total = None
-    for c in range(k):
-        p = p_cls[c]
-        y = Tensor(np.ascontiguousarray(target[:, :, c : c + 1]))
-        inter = tsum(p * y)
-        denom = tsum(p) + float(target[:, :, c].sum())
-        score = (2.0 * inter + smooth) / (denom + smooth)
-        total = score if total is None else total + score
-    return 1.0 - total * (1.0 / k)
+    h, w, k = logits.shape
+    target = one_hot(labels, k, logits.dtype).reshape(h * w, k)
+    probs = reshape(softmax(logits, axis=-1), (h * w, k))
+    inter = tsum(probs * Tensor(target), axis=0)  # [K]
+    denom = tsum(probs, axis=0) + Tensor(target.sum(axis=0))
+    score = (2.0 * inter + smooth) / (denom + smooth)
+    return 1.0 - tsum(score) * (1.0 / k)
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

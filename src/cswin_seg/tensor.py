@@ -11,9 +11,17 @@ bookkeeping.
 
 Design notes:
   * gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-  * conv2d is an explicit patch gather (im2col) feeding a matmul.
+  * conv2d is an explicit patch gather (im2col) feeding one ``linear``; a
+    1x1, stride-1, unpadded kernel skips the gather.
   * Forward ops never check for NaN/Inf; ``backward`` validates the loss
     and names the first op with a non-finite output.
+  * The tape keeps only what a gradient reads.  Each entry holds its inputs,
+    its output and a closure over the arrays its gradient needs; gelu keeps
+    only its input and recomputes tanh, patches keeps only the padded shape,
+    and linear adds its bias in place so the pre-bias product is never kept.
+    ``reshape`` returns a view (all tensor data is C-contiguous).
+    ``backward`` pops each entry once its gradient has run, so activations
+    are freed as the reverse walk passes them instead of when it returns.
 """
 
 from __future__ import annotations
@@ -159,7 +167,6 @@ class Tape:
 
     def __init__(self):
         self.entries: list[tuple] = []  # (inputs, output, grad_fn, opname)
-        self._tracked: set[int] = set()
         self._produced: set[int] = set()
         self.consumed = False
 
@@ -175,11 +182,11 @@ class Tape:
         return Tape._stack[-1] if Tape._stack else None
 
     def _wants(self, inputs: Iterable[Tensor]) -> bool:
-        return any(t.requires_grad or id(t) in self._tracked for t in inputs)
+        # recorded outputs are marked requires_grad, so this also tracks them
+        return any(t.requires_grad for t in inputs)
 
     def record(self, inputs: tuple, out: Tensor, grad_fn: Callable, opname: str) -> None:
         self.entries.append((inputs, out, grad_fn, opname))
-        self._tracked.add(id(out))
         self._produced.add(id(out))
         out.requires_grad = True
 
@@ -209,25 +216,26 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise NumericError("non-finite loss with no recorded producer")
     tape.consumed = True
 
+    # popping frees each entry's inputs, output and closure as soon as its
+    # gradient has run; backward creates no Tensors, so the id() keys stay unique
+    entries, tape.entries = tape.entries, []
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
-    for inputs, out, grad_fn, _opname in reversed(tape.entries):
+    while entries:
+        inputs, out, grad_fn, _opname = entries.pop()
         g = grads.pop(id(out), None)
         if g is None:
             continue
         for t, gi in zip(inputs, grad_fn(g)):
-            if gi is None:
+            if gi is None or not t.requires_grad:  # constants need no gradient
                 continue
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-            if t.requires_grad and key not in tape._produced:
+            grads[key] = grads[key] + gi if key in grads else gi
+            if key not in tape._produced:
                 leaves[key] = t
     for key, t in leaves.items():
         g = grads[key].astype(t.data.dtype, copy=False)
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # -- broadcasting helpers ------------------------------------------------------
@@ -313,14 +321,18 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (xd + _GELU_A * xd * xd * xd))  # float32 ** takes numpy's slow pow loop
+
+
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation.  Backward recomputes tanh from the input
+    rather than keeping it."""
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * xd * xd * xd)  # float32 ** takes numpy's slow pow loop
-    t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
+    out = 0.5 * xd * (1.0 + _gelu_tanh(xd))
 
     def grad_fn(g):
+        t = _gelu_tanh(xd)
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
         dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
         return (g * dx,)
@@ -356,12 +368,11 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != x.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
-    out = x.data.reshape(shape)
 
     def grad_fn(g):
         return (g.reshape(x.shape),)
 
-    return _emit("reshape", (x,), out.copy(), grad_fn)
+    return _emit("reshape", (x,), x.data.reshape(shape), grad_fn)
 
 
 def permute(x: Tensor, order: Sequence[int]) -> Tensor:
@@ -442,8 +453,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+    """x [..., Cin] @ w [Cin, Cout] + b [Cout] as one primitive: the bias is
+    added in place, so the tape keeps no pre-bias product."""
+    if b is None:
+        return matmul(x, w)
+    _check_dtypes("linear", x, w, b)
+    if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear needs [..., Cin] @ [Cin, Cout] + [Cout], got {x.shape} @ {w.shape} + {b.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gw = x.data.reshape(-1, x.shape[-1]).T @ g2
+        return np.matmul(g, w.data.T), gw, g2.sum(axis=0)
+
+    return _emit("linear", (x, w, b), out, grad_fn)
 
 
 # -- normalization and attention scalars ---------------------------------------
@@ -531,9 +556,10 @@ def patches(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0) -> T
     for p in range(kh * kw):
         ki, kj = divmod(p, kw)
         out[:, :, p, :] = xp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :]
+    xp_shape, dtype = xp.shape, xp.dtype  # backward needs the shape only
 
     def grad_fn(g):
-        gp = np.zeros_like(xp)
+        gp = np.zeros(xp_shape, dtype=dtype)
         for p in range(kh * kw):
             ki, kj = divmod(p, kw)
             gp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :] += g[:, :, p, :]
@@ -557,16 +583,14 @@ def conv2d(
     kh, kw, cin, cout = w.shape
     if x.ndim != 3 or x.shape[2] != cin:
         raise DimensionError(f"conv2d: input {x.shape} does not match weight {w.shape}")
-    cols = patches(x, kh, kw, stride=stride, padding=padding)
-    ho, wo = cols.shape[0], cols.shape[1]
+    if (kh, kw, stride, padding) == (1, 1, 1, 0):
+        cols, ho, wo = x, x.shape[0], x.shape[1]  # every pixel is its own patch
+    else:
+        cols = patches(x, kh, kw, stride=stride, padding=padding)
+        ho, wo = cols.shape[0], cols.shape[1]
     flat = reshape(cols, (ho * wo, kh * kw * cin))
-    out = matmul(flat, reshape(w, (kh * kw * cin, cout)))
-    out = reshape(out, (ho, wo, cout))
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise DimensionError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-        out = add(out, bias)
-    return out
+    out = linear(flat, reshape(w, (kh * kw * cin, cout)), bias)
+    return reshape(out, (ho, wo, cout))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -682,7 +706,9 @@ def tensor_to_bytes(t: Tensor) -> bytes:
     return head + body
 
 
-def tensor_from_bytes(buf: bytes) -> Tensor:
+def tensor_from_bytes(buf) -> Tensor:
+    """Decode one TSR1 record from any bytes-like buffer (a memoryview slice
+    is read in place); the tensor's data is its only copy."""
     if len(buf) < 13 or buf[:8] != _TSR1_MAGIC:
         raise FormatError("not a TSR1 tensor (bad magic)")
     (rank,) = struct.unpack_from("<I", buf, 8)
@@ -700,7 +726,7 @@ def tensor_from_bytes(buf: bytes) -> Tensor:
     need = count * dt.itemsize
     if len(buf) - off < need:
         raise FormatError("TSR1 tensor truncated in payload")
-    data = np.frombuffer(buf[off : off + need], dtype=dt).reshape(shape)
+    data = np.frombuffer(buf, dtype=dt, count=count, offset=off).reshape(shape)
     return Tensor(data.astype(_CODE_DTYPES[code]))
 
 

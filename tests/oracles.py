@@ -188,3 +188,16 @@ def dice_loss_scalar(logits, labels, smooth):
         denom = probs[:, :, c].sum() + onehot[:, :, c].sum()
         total += (2.0 * inter + smooth) / (denom + smooth)
     return 1.0 - total / k
+
+
+def trunc_normal_reference(rng, shape, std):
+    """Truncated normal by redrawing every out-of-range entry of a boolean
+    mask over the whole array until none is left; returns (array, rounds)."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2 * std
+    rounds = 0
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * std
+        rounds += 1
+    return out, rounds

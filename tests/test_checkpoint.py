@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cswin_seg.checkpoint import (
     snapshot,
 )
 from cswin_seg.errors import FormatError
-from cswin_seg.network import Model, NetworkConfig
+from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import SGD, OptimizerConfig
 
 
@@ -65,6 +66,20 @@ class TestRoundtrip:
         a = model.forward(img).data
         b = restored.forward(img).data
         assert (a == b).all()
+
+    def test_load_peak_memory(self, tmp_path):
+        # the payload is sliced as a memoryview, so each tensor is copied
+        # once out of the file's bytes: the peak stays near 2x the file
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(tiny_config(), seed=0)))
+        tracemalloc.start()
+        try:
+            load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(p)
+        assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
 
 
 class TestNegativePaths:

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cswin_seg import complexity
 from cswin_seg.errors import ConfigError, DimensionError
+from cswin_seg.losses import LossConfig, combined_loss
 from cswin_seg.network import (
     ConvParams,
     Model,
@@ -229,6 +231,24 @@ class TestGradientsReachEverything:
         for name, t in model.named_parameters():
             assert t.grad is not None, f"no gradient for {name}"
             assert t.grad.shape == t.data.shape
+
+    def test_training_step_memory_bound(self):
+        # backward frees each tape entry once its gradient has run and the
+        # tape keeps only what gradients read: one taped forward + backward
+        # of the tiny model peaks near 8 MiB
+        model = Model.create(tiny_config(), seed=0)
+        rng = np.random.default_rng(0)
+        img = Tensor(rng.uniform(0, 1, (64, 64, 3)).astype(np.float32))
+        labels = rng.integers(0, 4, (64, 64))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = combined_loss(model.forward(img), labels, LossConfig())
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCounting:

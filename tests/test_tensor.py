@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,8 @@ class TestConv2d:
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(10)
-        for stride, pad, k in [(1, 0, 3), (2, 1, 3), (1, 2, 5), (4, 3, 7)]:
+        # (1, 0, 1) takes the 1x1 path that skips the patch gather
+        for stride, pad, k in [(1, 0, 3), (2, 1, 3), (1, 2, 5), (4, 3, 7), (1, 0, 1)]:
             x = rng.uniform(-1, 1, (6, 6, 2))
             w = rng.uniform(-1, 1, (k, k, 2, 4))
             b = rng.uniform(-1, 1, (4,))
@@ -196,6 +199,10 @@ class TestStructural:
         x = Tensor(rng.uniform(-1, 1, (3, 4, 5)))
         back = T.permute(T.permute(x, (2, 0, 1)), (1, 2, 0))
         assert (back.data == x.data).all()
+
+    def test_reshape_is_a_view(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        assert np.shares_memory(T.reshape(x, (2, 6)).data, x.data)
 
     def test_gelu_zero(self):
         assert T.gelu(Tensor([0.0])).data[0] == 0.0
@@ -284,6 +291,29 @@ class TestBackward:
                 loss = T.tsum(x)
             backward(loss, tape)
         np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
+
+        # add hands both same-shape leaves one shared upstream buffer, so
+        # accumulation must not write into a gradient in place
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.full(3, 5.0), requires_grad=True)
+        for _ in range(2):
+            with Tape() as tape:
+                loss = T.tsum(T.add(a, b))
+            backward(loss, tape)
+        np.testing.assert_array_equal(a.grad, 2 * np.ones(3))
+        np.testing.assert_array_equal(b.grad, 2 * np.ones(3))
+
+    def test_backward_frees_intermediates(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        with Tape() as tape:
+            y = x * x
+            loss = T.tsum(y * y)
+        alive = weakref.ref(y.data)
+        del y
+        backward(loss, tape)
+        assert alive() is None
+        assert tape.entries == []
+        np.testing.assert_array_equal(x.grad, 4 * np.ones(4))
 
     def test_nan_loss_names_op(self):
         # forward ops deliberately do not check for non-finite values;
