@@ -5,7 +5,7 @@ attention, content-aware upsampling, combined Dice/cross-entropy training,
 metrics) is inspectable and verifiable end to end.
 """
 
-from .attention import AttentionConfig, CSWinBlockParams, cswin_attention, cswin_block, partition
+from .attention import AttentionConfig, CSWinBlockParams, cswin_attention, cswin_block
 from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample, predict_kernels, reassemble
 from .checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint, snapshot
 from .complexity import count_flops, count_params
@@ -50,7 +50,6 @@ __all__ = [
     "hausdorff",
     "load_checkpoint",
     "load_dataset",
-    "partition",
     "predict_kernels",
     "reassemble",
     "restore_model",

@@ -2,9 +2,13 @@
 
 The feature map is cut into non-overlapping stripes of width ``sw``; half
 of the attention heads attend inside horizontal stripes (sw x W tokens),
-the other half inside vertical stripes (H x sw tokens).  Head outputs are
-concatenated channel-wise and fused by a square output projection, so the
-block keeps its (H, W, C) shape.
+the other half inside vertical stripes (H x sw tokens).  Each group is one
+batched attention: a single projection gives the queries, keys and values
+of all its heads, and its heads and stripes share the leading axis of one
+scores matmul, one softmax and one value matmul.  The vertical group runs
+on the transposed map, where its stripes are rows.  Head outputs are
+concatenated channel-wise (horizontal heads first) and fused by a square
+output projection, so the block keeps its (H, W, C) shape.
 
 Optionally each head adds a locally-enhanced positional term: a 3x3
 depthwise convolution of its value map, applied inside the stripe.  With
@@ -14,7 +18,7 @@ permutation-equivariant within a stripe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -32,11 +36,8 @@ from .tensor import (
     permute,
     reshape,
     softmax,
+    split,
 )
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-
 
 @dataclass
 class AttentionConfig:
@@ -60,138 +61,24 @@ class AttentionConfig:
         return self.channels // self.heads
 
 
-@dataclass
-class StripePartition:
-    """Bookkeeping for one stripe split: index ranges along the cut axis."""
+def _stripe_group(plane: Tensor, wqkv: Tensor, lepe: Optional[Tensor], sw: int) -> Tensor:
+    """One head group attending inside stripes of sw rows of plane [P,Q,C].
 
-    direction: str
-    sw: int
-    count: int
-    stripes: list[tuple[int, int]]
-
-
-def partition(x: Tensor, direction: str, sw: int) -> tuple[StripePartition, list[Tensor]]:
-    """Cut [H,W,C] into stripes of width sw rows (horizontal) or columns (vertical).
-
-    Divisibility is a hard requirement; there is no implicit padding.
+    wqkv [1, 3n, C, d] holds the n query heads, then the n key heads, then
+    the n value heads; lepe is [n, 1, 3, 3, d] or None.  Heads and stripes
+    share the leading batch axis, head-major.  Returns [n, P, Q, d].
     """
-    if x.ndim != 3:
-        raise DimensionError(f"partition expects [H,W,C], got {x.shape}")
-    h, w, _ = x.shape
-    extent = h if direction == HORIZONTAL else w
-    if direction not in (HORIZONTAL, VERTICAL):
-        raise ConfigError(f"unknown stripe direction {direction!r}")
-    if extent % sw:
-        raise ConfigError(f"stripe width {sw} does not divide extent {extent} ({direction})")
-    count = extent // sw
-    part = StripePartition(direction, sw, count, [(i * sw, (i + 1) * sw) for i in range(count)])
-    if direction == HORIZONTAL:
-        stripes = [Tensor(x.data[a:b, :, :]) for a, b in part.stripes]
-    else:
-        stripes = [Tensor(x.data[:, a:b, :]) for a, b in part.stripes]
-    return part, stripes
-
-
-def reassemble(part: StripePartition, stripes: list[Tensor]) -> Tensor:
-    axis = 0 if part.direction == HORIZONTAL else 1
-    return concat(stripes, axis=axis)
-
-
-def stripe_attention(
-    stripe: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    lepe: Optional[Tensor] = None,
-) -> Tensor:
-    """Scaled dot-product attention over every token of one stripe.
-
-    stripe is a [rows, cols, C] map; tokens are flattened row-major.  The
-    output keeps the stripe geometry with d = wq.shape[1] channels.
-    """
-    rows, cols, c = stripe.shape
-    d = wq.shape[1]
-    if wq.shape != (c, d) or wk.shape != (c, d) or wv.shape != (c, d):
-        raise DimensionError(f"projection shapes {wq.shape}/{wk.shape}/{wv.shape} do not match C={c}")
-    tok = reshape(stripe, (rows * cols, c))
-    q = matmul(tok, wq)
-    k = matmul(tok, wk)
-    v = matmul(tok, wv)
-    scores = matmul(q, permute(k, (1, 0))) * (1.0 / np.sqrt(d))
-    out = matmul(softmax(scores, axis=-1), v)
-    out = reshape(out, (rows, cols, d))
+    p, q, c = plane.shape
+    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
+    m = p // sw
+    qkv = matmul(reshape(plane, (p * q, c)), wqkv)  # [1, 3n, P*Q, d]
+    qs, ks, vs = split(reshape(qkv, (3, n * m, sw * q, d)), [1, 1, 1], axis=0)
+    scores = matmul(qs, permute(ks, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
+    y = reshape(matmul(softmax(scores, axis=-1), vs), (n, p, q, d))
     if lepe is not None:
-        out = add(out, depthwise_conv2d(reshape(v, (rows, cols, d)), lepe, padding=lepe.shape[0] // 2))
-    return out
-
-
-def _stripe_batch_attention(xb: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, d: int) -> Tensor:
-    # xb: [stripes, tokens, C] -> [stripes, tokens, d], all stripes at once
-    q = matmul(xb, wq)
-    k = matmul(xb, wk)
-    v = matmul(xb, wv)
-    scores = matmul(q, permute(k, (0, 2, 1))) * (1.0 / np.sqrt(d))
-    return matmul(softmax(scores, axis=-1), v), v
-
-
-def _lepe_per_stripe(v: Tensor, kernel: Tensor, stripe_shape: tuple[int, int], transposed: bool) -> Tensor:
-    # v: [stripes, tokens, d] in batch layout; convolve each stripe in its
-    # image-plane geometry and return the same batch layout.
-    from .tensor import split
-
-    m = v.shape[0]
-    rows, cols = stripe_shape
-    d = v.shape[2]
-    outs = []
-    for s in split(v, [1] * m, axis=0):
-        geom = reshape(s, (rows, cols, d))
-        if transposed:
-            geom = permute(geom, (1, 0, 2))
-        conv = depthwise_conv2d(geom, kernel, padding=kernel.shape[0] // 2)
-        if transposed:
-            conv = permute(conv, (1, 0, 2))
-        outs.append(reshape(conv, (1, rows * cols, d)))
-    return concat(outs, axis=0)
-
-
-def h_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
-    """Horizontal-stripe attention for the first N/2 heads -> [H,W,C/2]."""
-    return _group_attention(x, params, config, HORIZONTAL)
-
-
-def v_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
-    """Vertical-stripe attention for the last N/2 heads -> [H,W,C/2]."""
-    return _group_attention(x, params, config, VERTICAL)
-
-
-def _group_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig, direction: str) -> Tensor:
-    h, w, c = x.shape
-    sw, d = config.sw, config.head_dim
-    half = config.heads // 2
-    extent = h if direction == HORIZONTAL else w
-    if extent % sw:
-        raise ConfigError(f"stripe width {sw} does not divide {direction} extent {extent}")
-
-    if direction == HORIZONTAL:
-        xb = reshape(x, (h // sw, sw * w, c))
-        head_range = range(half)
-        stripe_shape = (sw, w)
-    else:
-        xb = reshape(permute(x, (1, 0, 2)), (w // sw, sw * h, c))
-        head_range = range(half, config.heads)
-        stripe_shape = (sw, h)  # transposed plane
-
-    outs = []
-    for n in head_range:
-        y, v = _stripe_batch_attention(xb, params.wq[n], params.wk[n], params.wv[n], d)
-        if config.lepe_enabled:
-            y = add(y, _lepe_per_stripe(v, params.lepe[n], stripe_shape, transposed=direction == VERTICAL))
-        if direction == HORIZONTAL:
-            outs.append(reshape(y, (h, w, d)))
-        else:
-            y = reshape(y, (w // sw, sw, h, d))
-            outs.append(reshape(permute(y, (2, 0, 1, 3)), (h, w, d)))
-    return concat(outs, axis=-1)
+        v = reshape(vs, (n, m, sw, q, d))  # each stripe in its own geometry
+        y = add(y, reshape(depthwise_conv2d(v, lepe, padding=lepe.shape[2] // 2), (n, p, q, d)))
+    return y
 
 
 def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
@@ -199,7 +86,20 @@ def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConf
     h, w, c = x.shape
     if c != config.channels:
         raise DimensionError(f"input has {c} channels, config says {config.channels}")
-    grouped = concat([h_attention(x, params, config), v_attention(x, params, config)], axis=-1)
+    sw, half = config.sw, config.heads // 2
+    for direction, extent in (("horizontal", h), ("vertical", w)):
+        if extent % sw:
+            raise ConfigError(f"stripe width {sw} does not divide {direction} extent {extent}")
+    w_h, w_v = split(params.wqkv, [1, 1], axis=0)
+    k_h = k_v = None
+    if params.lepe is not None:
+        l_h, l_v = split(params.lepe, [1, 1], axis=0)
+        k_h = reshape(l_h, (half, 1) + l_h.shape[2:])
+        # the vertical group runs on the transposed map, so its kernels transpose too
+        k_v = reshape(permute(l_v, (0, 1, 3, 2, 4)), (half, 1) + l_h.shape[2:])
+    y_h = _stripe_group(x, w_h, k_h, sw)  # [N/2, H, W, d]
+    y_v = _stripe_group(permute(x, (1, 0, 2)), w_v, k_v, sw)  # [N/2, W, H, d]
+    grouped = concat([permute(y_h, (1, 2, 0, 3)), permute(y_v, (2, 1, 0, 3))], axis=2)  # [H, W, N, d]
     out = matmul(reshape(grouped, (h * w, c)), params.wo)
     return reshape(out, (h, w, c))
 
@@ -215,14 +115,28 @@ def cswin_block(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) 
     return add(x, reshape(y, (h, w, c)))
 
 
+def _group_major(heads: list[Tensor], kinds: int) -> Tensor:
+    """Stack per-head tensors listed kind by kind, each kind in head order,
+    into one [2, kinds*N/2, ...] tensor laid out as CSWinBlockParams says."""
+    a = np.stack([t.data for t in heads])
+    half = len(heads) // kinds // 2
+    a = a.reshape(kinds, 2, half, *a.shape[1:]).swapaxes(0, 1)
+    return Tensor(a.reshape(2, kinds * half, *a.shape[3:]), requires_grad=True)
+
+
 @dataclass
 class CSWinBlockParams:
-    """Learnable state of one block; per-head Q/K/V projections, shared output
-    projection, two layer norms and the expansion MLP."""
+    """Learnable state of one block: Q/K/V projections, output projection,
+    two layer norms, the expansion MLP and the optional LePE kernels.
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    wqkv [2, 3*N/2, C, C/N] is group-major: group 0 holds the horizontal
+    heads, group 1 the vertical ones, and within a group the N/2 query
+    projections come first, then the keys, then the values.  Head i of
+    group g is head g*N/2 + i, whose output fills channels of that index.
+    lepe [2, N/2, 3, 3, C/N] orders the heads' 3x3 kernels the same way.
+    """
+
+    wqkv: Tensor
     wo: Tensor
     ln1_g: Tensor
     ln1_b: Tensor
@@ -232,7 +146,7 @@ class CSWinBlockParams:
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
-    lepe: list[Tensor] = field(default_factory=list)
+    lepe: Optional[Tensor] = None
 
     @staticmethod
     def create(
@@ -248,10 +162,10 @@ class CSWinBlockParams:
         proj = lambda *shape: trunc_normal(rng, shape, 0.02, dtype)
         ones = lambda *shape: Tensor.ones(shape, dtype, requires_grad=True)
         zeros = lambda *shape: Tensor.zeros(shape, dtype, requires_grad=True)
+        # every head draws its own [C, d] projection (all queries, then keys,
+        # then values) and LePE kernel, so the draws do not depend on the layout
         return CSWinBlockParams(
-            wq=[proj(c, d) for _ in range(n)],
-            wk=[proj(c, d) for _ in range(n)],
-            wv=[proj(c, d) for _ in range(n)],
+            wqkv=_group_major([proj(c, d) for _ in range(3 * n)], 3),
             wo=proj(c, c),
             ln1_g=ones(c),
             ln1_b=zeros(c),
@@ -261,16 +175,11 @@ class CSWinBlockParams:
             mlp_b1=zeros(hidden),
             mlp_w2=proj(hidden, c),
             mlp_b2=zeros(c),
-            lepe=[proj(3, 3, d) for _ in range(n)] if config.lepe_enabled else [],
+            lepe=_group_major([proj(3, 3, d) for _ in range(n)], 1) if config.lepe_enabled else None,
         )
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for i, t in enumerate(self.wq):
-            yield f"{prefix}.h{i}.wq", t
-        for i, t in enumerate(self.wk):
-            yield f"{prefix}.h{i}.wk", t
-        for i, t in enumerate(self.wv):
-            yield f"{prefix}.h{i}.wv", t
+        yield f"{prefix}.wqkv", self.wqkv
         yield f"{prefix}.wo", self.wo
         yield f"{prefix}.ln1.g", self.ln1_g
         yield f"{prefix}.ln1.b", self.ln1_b
@@ -280,5 +189,5 @@ class CSWinBlockParams:
         yield f"{prefix}.mlp.b1", self.mlp_b1
         yield f"{prefix}.mlp.w2", self.mlp_w2
         yield f"{prefix}.mlp.b2", self.mlp_b2
-        for i, t in enumerate(self.lepe):
-            yield f"{prefix}.h{i}.lepe", t
+        if self.lepe is not None:
+            yield f"{prefix}.lepe", self.lepe

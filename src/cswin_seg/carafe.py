@@ -46,17 +46,6 @@ class UpsampleConfig:
 
 
 @dataclass
-class ReassemblyKernelField:
-    """Normalized per-output-pixel kernels, shape [sigma*H, sigma*W, k_up^2].
-
-    Kernel slot (n+r)*k_up + (m+r) weighs the source neighbor at row offset
-    n, column offset m (r = k_up//2); row-major, frozen for checkpoints.
-    """
-
-    weights: Tensor
-
-
-@dataclass
 class KernelPredictorParams:
     comp_w: Tensor  # 1x1 conv, C -> c_mid
     comp_b: Tensor
@@ -82,20 +71,14 @@ class KernelPredictorParams:
         yield f"{prefix}.enc.b", self.enc_b
 
 
-def source_index(pos: tuple[int, int], sigma: int, extents: tuple[int, int] | None = None) -> tuple[int, int]:
-    """Map an upsampled pixel (i', j') to its source pixel (floor division)."""
-    ip, jp = pos
-    if ip < 0 or jp < 0:
-        raise DimensionError(f"negative output position {pos}")
-    if extents is not None:
-        h, w = extents
-        if ip >= sigma * h or jp >= sigma * w:
-            raise DimensionError(f"output position {pos} outside {sigma}x upsampled {h}x{w} grid")
-    return ip // sigma, jp // sigma
+def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:
+    """Compress, encode, shuffle to one kernel per output pixel, normalize.
 
-
-def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> ReassemblyKernelField:
-    """Compress, encode, shuffle to one kernel per output pixel, normalize."""
+    Returns the kernel field [sigma*H, sigma*W, k_up^2]; each pixel's kernel
+    sums to one.  Kernel slot (n+r)*k_up + (m+r) weighs the source neighbor
+    at row offset n, column offset m (r = k_up//2); row-major, frozen for
+    checkpoints.
+    """
     if x.ndim != 3:
         raise DimensionError(f"predict_kernels expects [H,W,C], got {x.shape}")
     if params.comp_w.shape[2] != x.shape[2]:
@@ -103,18 +86,18 @@ def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleCo
     compressed = conv2d(x, params.comp_w, params.comp_b)
     logits = conv2d(compressed, params.enc_w, params.enc_b, padding=config.k_encoder // 2)
     field = pixel_shuffle(logits, config.sigma, config.kernel_area)
-    return ReassemblyKernelField(softmax(field, axis=-1))
+    return softmax(field, axis=-1)
 
 
-def reassemble(x: Tensor, field: ReassemblyKernelField, config: UpsampleConfig) -> Tensor:
+def reassemble(x: Tensor, field: Tensor, config: UpsampleConfig) -> Tensor:
     """Weighted neighborhood sums: [H,W,C] + kernels -> [sigma*H, sigma*W, C]."""
     h, w, _ = x.shape
     sigma, k = config.sigma, config.k_up
     expect = (sigma * h, sigma * w, config.kernel_area)
-    if field.weights.shape != expect:
-        raise DimensionError(f"kernel field shape {field.weights.shape} != {expect}")
+    if field.shape != expect:
+        raise DimensionError(f"kernel field shape {field.shape} != {expect}")
     hood = patches(x, k, k, stride=1, padding=k // 2)  # [H, W, k^2, C]
-    return reassemble_hood(hood, field.weights)
+    return reassemble_hood(hood, field)
 
 
 def carafe_upsample(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:

@@ -31,7 +31,7 @@ from .optim import SGD
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
 MAGIC = b"CKPT1"
-VERSION = 1
+VERSION = 2  # version 1 stored per-head Q/K/V tensors (h{i}.wq, h{i}.wk, h{i}.wv)
 
 
 @dataclass
@@ -103,7 +103,7 @@ def load_checkpoint(path) -> Checkpoint:
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: corrupt header JSON: {e}") from e
     if header.get("version") != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
+        raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}, expected {VERSION}")
     config = NetworkConfig.from_dict(header["config"])
     payload = memoryview(data)[head_start + head_len :]  # slices of it copy nothing
 

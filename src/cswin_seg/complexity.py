@@ -21,12 +21,12 @@ CALIBRATION_TOLERANCE = 0.20
 
 
 def _block_params(dim: int, heads: int, mlp_ratio: int, lepe: bool) -> int:
-    qkv = 3 * dim * dim  # N heads x three C x (C/N) projections, no bias
+    qkv = 3 * dim * dim  # one wqkv [2, 3N/2, C, C/N], no bias
     out_proj = dim * dim
     norms = 4 * dim
     hidden = mlp_ratio * dim
     mlp = dim * hidden + hidden + hidden * dim + dim
-    lepe_k = 9 * dim if lepe else 0  # 3x3 depthwise per value channel
+    lepe_k = 9 * dim if lepe else 0  # lepe [2, N/2, 3, 3, C/N]: 3x3 depthwise per value channel
     return qkv + out_proj + norms + mlp + lepe_k
 
 

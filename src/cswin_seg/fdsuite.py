@@ -172,6 +172,18 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     w = _weighted(rng, (2, 3, 5))
     run("linear", lambda: w(T.linear(xli, wli, bli)), [("x", xli), ("w", wli), ("b", bli)])
 
+    a2, bb3 = _probe(rng, (5, 3)), _probe(rng, (2, 4, 3, 2))
+    w = _weighted(rng, (2, 4, 5, 2))
+    run("matmul_2d_batched", lambda: w(T.matmul(a2, bb3)), [("a", a2), ("b", bb3)])
+
+    xpb = _probe(rng, (2, 5, 4, 2))
+    w = _weighted(rng, (2, 3, 2, 9, 2))
+    run("patches_batched", lambda: w(T.patches(xpb, 3, 3, stride=2, padding=1)), [("x", xpb)])
+
+    xdb, wdb = _probe(rng, (2, 3, 4, 3, 2)), _probe(rng, (2, 1, 3, 3, 2))
+    w = _weighted(rng, (2, 3, 4, 3, 2))
+    run("depthwise_conv2d_batched", lambda: w(T.depthwise_conv2d(xdb, wdb, padding=1)), [("x", xdb), ("w", wdb)])
+
     if full:
         results.append(end_to_end_check(h=h, tol=tol, seed=seed))
     return results

@@ -428,19 +428,24 @@ def split(x: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch axes on `a` are allowed when `b` is 2-D,
-    or both operands may share identical leading axes."""
+    """Matrix product.  Leading batch axes may sit on either operand when the
+    other is 2-D, or both operands may share identical leading axes."""
     _check_dtypes("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul: batch axes differ, {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
 
     def grad_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        if a.ndim == 2 and b.ndim > 2:
+            # one contraction over b's batch axes and the shared output axis
+            axes = list(range(b.ndim - 2)) + [-1]
+            ga = np.tensordot(g, b.data, axes=(axes, axes))
+        else:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         if b.ndim == 2 and a.ndim > 2:
             a2 = a.data.reshape(-1, a.shape[-1])
             g2 = g.reshape(-1, g.shape[-1])
@@ -541,30 +546,30 @@ def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
 
 
 def patches(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Gather k x k neighborhoods: [H,W,C] -> [H',W',kh*kw,C] (im2col).
+    """Gather k x k neighborhoods: [..., H,W,C] -> [..., H',W',kh*kw,C] (im2col).
 
-    Out-of-bounds positions read as zero.  The gradient scatter-adds each
-    patch slot back into the padded input.
+    Leading axes are batch axes.  Out-of-bounds positions read as zero.  The
+    gradient scatter-adds each patch slot back into the padded input.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"patches expects [H,W,C], got {x.shape}")
-    h, w, c = x.shape
+    if x.ndim < 3:
+        raise DimensionError(f"patches expects [..., H,W,C], got {x.shape}")
+    *lead, h, w, c = x.shape
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-    out = np.empty((ho, wo, kh * kw, c), dtype=x.data.dtype)
+    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(padding, padding), (padding, padding), (0, 0)])
+    out = np.empty((*lead, ho, wo, kh * kw, c), dtype=x.data.dtype)
     for p in range(kh * kw):
         ki, kj = divmod(p, kw)
-        out[:, :, p, :] = xp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :]
+        out[..., p, :] = xp[..., ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :]
     xp_shape, dtype = xp.shape, xp.dtype  # backward needs the shape only
 
     def grad_fn(g):
         gp = np.zeros(xp_shape, dtype=dtype)
         for p in range(kh * kw):
             ki, kj = divmod(p, kw)
-            gp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :] += g[:, :, p, :]
+            gp[..., ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :] += g[..., p, :]
         if padding:
-            gp = gp[padding : padding + h, padding : padding + w, :]
+            gp = gp[..., padding : padding + h, padding : padding + w, :]
         return (np.ascontiguousarray(gp),)
 
     return _emit("patches", (x,), out, grad_fn)
@@ -594,15 +599,19 @@ def conv2d(
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Per-channel convolution: x [H,W,C], w [kh,kw,C] -> [H',W',C]."""
-    if w.ndim != 3:
-        raise DimensionError(f"depthwise weight must be [kh,kw,C], got {w.shape}")
-    kh, kw, c = w.shape
-    if x.ndim != 3 or x.shape[2] != c:
+    """Per-channel convolution: x [..., H,W,C], w [..., kh,kw,C] -> [..., H',W',C].
+
+    Leading axes are batch axes; those of w broadcast against those of x, so
+    batch elements may share one kernel or each have their own.
+    """
+    if w.ndim < 3:
+        raise DimensionError(f"depthwise weight must be [..., kh,kw,C], got {w.shape}")
+    kh, kw, c = w.shape[-3:]
+    if x.ndim < 3 or x.shape[-1] != c:
         raise DimensionError(f"depthwise_conv2d: input {x.shape} does not match weight {w.shape}")
-    cols = patches(x, kh, kw, stride=stride, padding=padding)  # [H',W',k*k,C]
-    prod = mul(cols, reshape(w, (kh * kw, c)))
-    return tsum(prod, axis=2)
+    cols = patches(x, kh, kw, stride=stride, padding=padding)  # [..., H',W',k*k,C]
+    prod = mul(cols, reshape(w, w.shape[:-3] + (1, 1, kh * kw, c)))
+    return tsum(prod, axis=-2)
 
 
 def reassemble_hood(hood: Tensor, field: Tensor) -> Tensor:
@@ -728,10 +737,6 @@ def tensor_from_bytes(buf) -> Tensor:
         raise FormatError("TSR1 tensor truncated in payload")
     data = np.frombuffer(buf, dtype=dt, count=count, offset=off).reshape(shape)
     return Tensor(data.astype(_CODE_DTYPES[code]))
-
-
-def tsr1_size(t: Tensor) -> int:
-    return 13 + 8 * t.ndim + t.data.nbytes
 
 
 def save_tensor(path, t: Tensor) -> None:

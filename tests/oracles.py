@@ -59,13 +59,26 @@ def dense_attention(tokens, wq, wk, wv):
     return softmax_rows(scores) @ v
 
 
-def cross_window_attention(x, wq, wk, wv, wo, sw):
+def per_head(grouped, kinds):
+    """Per-head views of a group-major block weight [2, kinds*N/2, ...].
+
+    Returns `kinds` lists of N arrays in head order: the first N/2 heads are
+    group 0 (horizontal), the rest group 1.  per_head(wqkv, 3) gives the
+    query, key and value projections; per_head(lepe, 1) the LePE kernels.
+    """
+    half = grouped.shape[1] // kinds
+    return [[grouped[g, t * half + i] for g in range(2) for i in range(half)] for t in range(kinds)]
+
+
+def cross_window_attention(x, wq, wk, wv, wo, sw, lepe=None):
     """Two-group stripe attention over x [H,W,C].
 
     wq/wk/wv are per-head weight lists (length N, each C x d); the first
     half of the heads attends inside horizontal stripes of width sw, the
-    second half inside vertical stripes.  Heads concatenate channel-wise
-    and the result is projected by wo [C,C].
+    second half inside vertical stripes.  With lepe (a per-head list of
+    k x k x d kernels) each head adds the zero-padded depthwise convolution
+    of its values, taken inside each stripe.  Heads concatenate
+    channel-wise and the result is projected by wo [C,C].
     """
     h, w, c = x.shape
     n = len(wq)
@@ -76,16 +89,20 @@ def cross_window_attention(x, wq, wk, wv, wo, sw):
         for s in range(h // sw):
             stripe = x[s * sw : (s + 1) * sw, :, :]
             tok = stripe.reshape(-1, c)
-            att = dense_attention(tok, wq[head], wk[head], wv[head])
-            y[s * sw : (s + 1) * sw, :, :] = att.reshape(sw, w, -1)
+            att = dense_attention(tok, wq[head], wk[head], wv[head]).reshape(sw, w, -1)
+            if lepe is not None:
+                att += depthwise_conv2d_naive(stripe @ wv[head], lepe[head], padding=lepe[head].shape[0] // 2)
+            y[s * sw : (s + 1) * sw, :, :] = att
         outs.append(y)
     for head in range(half, n):
         y = np.zeros((h, w, wq[head].shape[1]), dtype=x.dtype)
         for s in range(w // sw):
             stripe = x[:, s * sw : (s + 1) * sw, :]
             tok = stripe.reshape(-1, c)
-            att = dense_attention(tok, wq[head], wk[head], wv[head])
-            y[:, s * sw : (s + 1) * sw, :] = att.reshape(h, sw, -1)
+            att = dense_attention(tok, wq[head], wk[head], wv[head]).reshape(h, sw, -1)
+            if lepe is not None:
+                att += depthwise_conv2d_naive(stripe @ wv[head], lepe[head], padding=lepe[head].shape[0] // 2)
+            y[:, s * sw : (s + 1) * sw, :] = att
         outs.append(y)
     return np.concatenate(outs, axis=-1) @ wo
 

@@ -9,7 +9,6 @@ from cswin_seg import complexity
 from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_attention
 from cswin_seg.carafe import (
     KernelPredictorParams,
-    ReassemblyKernelField,
     UpsampleConfig,
     predict_kernels,
     reassemble,
@@ -30,6 +29,7 @@ from oracles import (
     cross_window_attention,
     dense_attention,
     hausdorff_bruteforce,
+    per_head,
     reassemble_naive,
 )
 
@@ -77,14 +77,7 @@ class TestCriterion2:
             params = CSWinBlockParams.create(rng, config, dtype="f64")
             x = Tensor(rng.uniform(-1, 1, (h, w, c)), dtype="f64")
             got = cswin_attention(x, params, config).data
-            want = cross_window_attention(
-                x.data,
-                [t.data for t in params.wq],
-                [t.data for t in params.wk],
-                [t.data for t in params.wv],
-                params.wo.data,
-                sw,
-            )
+            want = cross_window_attention(x.data, *per_head(params.wqkv.data, 3), params.wo.data, sw)
             worst = max(worst, float(np.abs(got - want).max()))
         report(2, "stripe-attention oracle", worst < 1e-6, f"{trials} random configs, max abs err {worst:.2e} < 1e-6")
 
@@ -104,10 +97,8 @@ class TestCriterion3:
             # tokens (attention is permutation-equivariant, so the token
             # order used by each group cannot matter)
             tokens = x.data.reshape(size * size, c)
-            heads = [
-                dense_attention(tokens, params.wq[i].data, params.wk[i].data, params.wv[i].data)
-                for i in range(n)
-            ]
+            wq, wk, wv = per_head(params.wqkv.data, 3)
+            heads = [dense_attention(tokens, wq[i], wk[i], wv[i]) for i in range(n)]
             want = (np.concatenate(heads, axis=-1) @ params.wo.data).reshape(size, size, c)
             worst = max(worst, float(np.abs(got - want).max()))
         report(3, "degenerate-global equivalence", worst < 1e-6, f"sw=H=W at 4 sizes, max abs err {worst:.2e} < 1e-6")
@@ -129,9 +120,9 @@ class TestCriterion4:
             x = rng.uniform(-1, 1, (h, w, c))
             params = KernelPredictorParams.create(rng, c, cfg, dtype="f64")
             field = predict_kernels(Tensor(x, dtype="f64"), params, cfg)
-            worst_kernel = max(worst_kernel, float(np.abs(field.weights.data.sum(axis=-1) - 1.0).max()))
+            worst_kernel = max(worst_kernel, float(np.abs(field.data.sum(axis=-1) - 1.0).max()))
             got = reassemble(Tensor(x, dtype="f64"), field, cfg).data
-            want = reassemble_naive(x, field.weights.data, sigma, k_up)
+            want = reassemble_naive(x, field.data, sigma, k_up)
             worst = max(worst, float(np.abs(got - want).max()))
 
         # delta kernels reproduce nearest-neighbor exactly
@@ -142,7 +133,7 @@ class TestCriterion4:
                 cfg = UpsampleConfig(sigma=sigma, k_up=k_up)
                 f = np.zeros((sigma * 5, sigma * 4, k_up * k_up))
                 f[:, :, (k_up // 2) * k_up + k_up // 2] = 1.0
-                got = reassemble(Tensor(x, dtype="f64"), ReassemblyKernelField(Tensor(f, dtype="f64")), cfg).data
+                got = reassemble(Tensor(x, dtype="f64"), Tensor(f, dtype="f64"), cfg).data
                 want = np.repeat(np.repeat(x, sigma, axis=0), sigma, axis=1)
                 deltas_exact &= bool((got == want).all())
 

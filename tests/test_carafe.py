@@ -5,38 +5,16 @@ import pytest
 
 from cswin_seg.carafe import (
     KernelPredictorParams,
-    ReassemblyKernelField,
     UpsampleConfig,
     carafe_upsample,
     predict_kernels,
     reassemble,
-    source_index,
 )
 from cswin_seg.errors import ConfigError, DimensionError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.tensor import Tape, Tensor, backward, reassemble_hood, tsum
 
 from oracles import reassemble_naive
-
-
-class TestSourceIndex:
-    def test_floor_division(self):
-        assert source_index((3, 5), 2) == (1, 2)
-
-    def test_identity_ratio(self):
-        for pos in [(0, 0), (3, 4), (7, 7)]:
-            assert source_index(pos, 1) == pos
-
-    def test_exhaustive_against_floor(self):
-        for sigma in (1, 2, 4):
-            for ip in range(8 * sigma):
-                for jp in range(8 * sigma):
-                    got = source_index((ip, jp), sigma, extents=(8, 8))
-                    assert got == (int(np.floor(ip / sigma)), int(np.floor(jp / sigma)))
-
-    def test_out_of_range(self):
-        with pytest.raises(DimensionError):
-            source_index((16, 0), 2, extents=(8, 8))
 
 
 class TestConfig:
@@ -56,9 +34,9 @@ class TestPredictKernels:
         params = KernelPredictorParams.create(rng, 8, cfg, dtype="f64")
         x = Tensor(rng.uniform(-1, 1, (4, 4, 8)), dtype="f64")
         field = predict_kernels(x, params, cfg)
-        assert field.weights.shape == (8, 8, 25)
-        np.testing.assert_allclose(field.weights.data.sum(axis=-1), 1.0, atol=1e-6)
-        assert (field.weights.data >= 0).all()
+        assert field.shape == (8, 8, 25)
+        np.testing.assert_allclose(field.data.sum(axis=-1), 1.0, atol=1e-6)
+        assert (field.data >= 0).all()
 
     def test_zero_encoder_gives_uniform_kernels(self):
         rng = np.random.default_rng(1)
@@ -68,7 +46,7 @@ class TestPredictKernels:
         params.enc_b.data[:] = 0.0
         x = Tensor(rng.uniform(-1, 1, (3, 3, 6)), dtype="f64")
         field = predict_kernels(x, params, cfg)
-        np.testing.assert_allclose(field.weights.data, 1.0 / 9.0, atol=1e-12)
+        np.testing.assert_allclose(field.data, 1.0 / 9.0, atol=1e-12)
 
     def test_single_kernel_traced_by_hand(self):
         # recompute the kernel of output pixel (5, 3) through the conv chain
@@ -94,14 +72,14 @@ class TestPredictKernels:
         logit += params.enc_b.data[(di * 2 + dj) * 25 : (di * 2 + dj) * 25 + 25]
         want = np.exp(logit - logit.max())
         want /= want.sum()
-        np.testing.assert_allclose(field.weights.data[ip, jp], want, atol=1e-6)
+        np.testing.assert_allclose(field.data[ip, jp], want, atol=1e-6)
 
 
 class TestReassemble:
     def _delta_field(self, h, w, sigma, k):
         f = np.zeros((sigma * h, sigma * w, k * k))
         f[:, :, (k // 2) * k + k // 2] = 1.0
-        return ReassemblyKernelField(Tensor(f, dtype="f64"))
+        return Tensor(f, dtype="f64")
 
     def test_delta_kernels_give_nearest_neighbor(self):
         rng = np.random.default_rng(3)
@@ -114,7 +92,7 @@ class TestReassemble:
     def test_uniform_kernels_on_constant_input(self):
         cfg = UpsampleConfig(sigma=2, k_up=3)
         x = Tensor(np.full((4, 4, 2), 3.0), dtype="f64")
-        f = ReassemblyKernelField(Tensor(np.full((8, 8, 9), 1.0 / 9.0), dtype="f64"))
+        f = Tensor(np.full((8, 8, 9), 1.0 / 9.0), dtype="f64")
         out = reassemble(x, f, cfg)
         np.testing.assert_allclose(out.data[2:-2, 2:-2, :], 3.0, atol=1e-12)
 
@@ -125,7 +103,7 @@ class TestReassemble:
             x = rng.uniform(-1, 1, (5, 3, 2))
             raw = rng.uniform(0, 1, (5 * sigma, 3 * sigma, k * k))
             f = raw / raw.sum(axis=-1, keepdims=True)
-            got = reassemble(Tensor(x, dtype="f64"), ReassemblyKernelField(Tensor(f, dtype="f64")), cfg)
+            got = reassemble(Tensor(x, dtype="f64"), Tensor(f, dtype="f64"), cfg)
             np.testing.assert_allclose(got.data, reassemble_naive(x, f, sigma, k), atol=1e-6, err_msg=f"sigma={sigma} k={k}")
 
     def test_convex_hull_bound_interior(self):
@@ -153,7 +131,7 @@ class TestReassemble:
     def test_field_shape_mismatch(self):
         cfg = UpsampleConfig(sigma=2, k_up=3)
         with pytest.raises(DimensionError):
-            reassemble(Tensor(np.zeros((4, 4, 2))), ReassemblyKernelField(Tensor(np.zeros((4, 4, 9)))), cfg)
+            reassemble(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((4, 4, 9))), cfg)
 
     def test_hood_field_shape_mismatch(self):
         hood = Tensor(np.zeros((4, 3, 9, 2)))
@@ -174,7 +152,7 @@ class TestReassemble:
         tracemalloc.start()
         try:
             with Tape() as tape:
-                loss = tsum(reassemble(x, ReassemblyKernelField(field), cfg))
+                loss = tsum(reassemble(x, field, cfg))
             backward(loss, tape)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -100,6 +100,15 @@ class TestNegativePaths:
         with pytest.raises(FormatError):
             load_checkpoint(p)
 
+    def test_version_1_rejected(self, tmp_path, monkeypatch):
+        # version 1 stored per-head Q/K/V tensors under other names
+        p = tmp_path / "v1.ckpt"
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "VERSION", 1)
+            save_checkpoint(p, snapshot(Model.create(micro(), seed=0)))
+        with pytest.raises(FormatError, match="version 1"):
+            load_checkpoint(p)
+
     def test_depth_mismatch_names_stage(self, tmp_path):
         deep = Model.create(micro(depths=(1, 1, 2, 1)), seed=0)
         p = tmp_path / "deep.ckpt"

@@ -43,6 +43,19 @@ class TestMatmul:
         b = randt(rng, (3, 2))
         check_gradients(lambda: T.tsum(T.matmul(a, b)), [("a", a), ("b", b)])
 
+    def test_2d_against_batched(self):
+        rng = np.random.default_rng(2)
+        a = randt(rng, (5, 3))
+        for batch in ((4,), (1, 2, 3)):
+            b = randt(rng, batch + (3, 2))
+            np.testing.assert_allclose(T.matmul(a, b).data, np.matmul(a.data, b.data), atol=1e-12)
+            w = randt(rng, batch + (5, 2))
+            check_gradients(lambda: T.tsum(T.matmul(a, b) * w), [("a", a), ("b", b)], tol=1e-6)
+
+    def test_batch_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -185,6 +198,22 @@ class TestDepthwiseConv2d:
         x = randt(rng, (4, 4, 2))
         w = randt(rng, (3, 3, 2))
         check_gradients(lambda: T.tsum(T.depthwise_conv2d(x, w, padding=1)), [("x", x), ("w", w)])
+
+    def test_batched_matches_naive_per_element(self):
+        # leading axes of x are batch axes; w's broadcast against them
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1, 1, (2, 3, 5, 4, 3))
+        for stride, padding in ((1, 1), (2, 1), (1, 0)):
+            cols = T.patches(Tensor(x), 3, 3, stride=stride, padding=padding).data
+            for i, j in np.ndindex(2, 3):
+                want = T.patches(Tensor(x[i, j]), 3, 3, stride=stride, padding=padding).data
+                np.testing.assert_array_equal(cols[i, j], want)
+            for w in (rng.uniform(-1, 1, (3, 3, 3)), rng.uniform(-1, 1, (2, 1, 3, 3, 3))):
+                got = T.depthwise_conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+                kernels = np.broadcast_to(w, (2, 3, 3, 3, 3))
+                for i, j in np.ndindex(2, 3):
+                    want = depthwise_conv2d_naive(x[i, j], kernels[i, j], stride=stride, padding=padding)
+                    np.testing.assert_allclose(got[i, j], want, atol=1e-12)
 
 
 class TestStructural:
