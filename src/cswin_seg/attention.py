@@ -19,11 +19,12 @@ permutation-equivariant within a stripe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .initializers import ParamSource, ones, trunc_normal, zeros
 from .tensor import (
     Tensor,
     add,
@@ -115,13 +116,17 @@ def cswin_block(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) 
     return add(x, reshape(y, (h, w, c)))
 
 
-def _group_major(heads: list[Tensor], kinds: int) -> Tensor:
-    """Stack per-head tensors listed kind by kind, each kind in head order,
-    into one [2, kinds*N/2, ...] tensor laid out as CSWinBlockParams says."""
-    a = np.stack([t.data for t in heads])
-    half = len(heads) // kinds // 2
-    a = a.reshape(kinds, 2, half, *a.shape[1:]).swapaxes(0, 1)
-    return Tensor(a.reshape(2, kinds * half, *a.shape[3:]), requires_grad=True)
+def _per_head(kinds: int):
+    """Init for a group-major [2, kinds*N/2, *head] tensor laid out as
+    CSWinBlockParams says.  Every head draws its own array, kind by kind and
+    each kind in head order, so the draws do not depend on the layout."""
+
+    def init(rng, shape, dtype):
+        half, head = shape[1] // kinds, shape[2:]
+        a = np.stack([trunc_normal(rng, head, 0.02, dtype).data for _ in range(kinds * 2 * half)])
+        return a.reshape(kinds, 2, half, *head).swapaxes(0, 1).reshape(shape)
+
+    return init
 
 
 @dataclass
@@ -149,45 +154,21 @@ class CSWinBlockParams:
     lepe: Optional[Tensor] = None
 
     @staticmethod
-    def create(
-        rng: np.random.Generator,
-        config: AttentionConfig,
-        mlp_ratio: int = 4,
-        dtype: str = "f32",
-    ) -> "CSWinBlockParams":
-        from .initializers import trunc_normal
-
+    def create(source: ParamSource, name: str, config: AttentionConfig, mlp_ratio: int = 4) -> "CSWinBlockParams":
         c, n, d = config.channels, config.heads, config.head_dim
         hidden = mlp_ratio * c
-        proj = lambda *shape: trunc_normal(rng, shape, 0.02, dtype)
-        ones = lambda *shape: Tensor.ones(shape, dtype, requires_grad=True)
-        zeros = lambda *shape: Tensor.zeros(shape, dtype, requires_grad=True)
-        # every head draws its own [C, d] projection (all queries, then keys,
-        # then values) and LePE kernel, so the draws do not depend on the layout
+        proj = lambda rng, shape, dtype: trunc_normal(rng, shape, 0.02, dtype)
+        p = lambda suffix, shape, init: source.param(f"{name}.{suffix}", shape, init)
         return CSWinBlockParams(
-            wqkv=_group_major([proj(c, d) for _ in range(3 * n)], 3),
-            wo=proj(c, c),
-            ln1_g=ones(c),
-            ln1_b=zeros(c),
-            ln2_g=ones(c),
-            ln2_b=zeros(c),
-            mlp_w1=proj(c, hidden),
-            mlp_b1=zeros(hidden),
-            mlp_w2=proj(hidden, c),
-            mlp_b2=zeros(c),
-            lepe=_group_major([proj(3, 3, d) for _ in range(n)], 1) if config.lepe_enabled else None,
+            wqkv=p("wqkv", (2, 3 * n // 2, c, d), _per_head(3)),
+            wo=p("wo", (c, c), proj),
+            ln1_g=p("ln1.g", (c,), ones),
+            ln1_b=p("ln1.b", (c,), zeros),
+            ln2_g=p("ln2.g", (c,), ones),
+            ln2_b=p("ln2.b", (c,), zeros),
+            mlp_w1=p("mlp.w1", (c, hidden), proj),
+            mlp_b1=p("mlp.b1", (hidden,), zeros),
+            mlp_w2=p("mlp.w2", (hidden, c), proj),
+            mlp_b2=p("mlp.b2", (c,), zeros),
+            lepe=p("lepe", (2, n // 2, 3, 3, d), _per_head(1)) if config.lepe_enabled else None,
         )
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.wqkv", self.wqkv
-        yield f"{prefix}.wo", self.wo
-        yield f"{prefix}.ln1.g", self.ln1_g
-        yield f"{prefix}.ln1.b", self.ln1_b
-        yield f"{prefix}.ln2.g", self.ln2_g
-        yield f"{prefix}.ln2.b", self.ln2_b
-        yield f"{prefix}.mlp.w1", self.mlp_w1
-        yield f"{prefix}.mlp.b1", self.mlp_b1
-        yield f"{prefix}.mlp.w2", self.mlp_w2
-        yield f"{prefix}.mlp.b2", self.mlp_b2
-        if self.lepe is not None:
-            yield f"{prefix}.lepe", self.lepe

@@ -15,11 +15,9 @@ caller's business (the network follows each upsample with a 1x1 conv).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .initializers import ParamSource, conv_trunc_normal, zeros
 from .tensor import Tensor, conv2d, patches, pixel_shuffle, reassemble_hood, softmax
 
 
@@ -53,22 +51,14 @@ class KernelPredictorParams:
     enc_b: Tensor
 
     @staticmethod
-    def create(rng: np.random.Generator, channels: int, config: UpsampleConfig, dtype: str = "f32") -> "KernelPredictorParams":
-        from .initializers import conv_trunc_normal
-
-        out_ch = config.sigma**2 * config.kernel_area
+    def create(source: ParamSource, name: str, channels: int, config: UpsampleConfig) -> "KernelPredictorParams":
+        k, c_mid, out_ch = config.k_encoder, config.c_mid, config.sigma**2 * config.kernel_area
         return KernelPredictorParams(
-            comp_w=conv_trunc_normal(rng, (1, 1, channels, config.c_mid), dtype),
-            comp_b=Tensor.zeros((config.c_mid,), dtype, requires_grad=True),
-            enc_w=conv_trunc_normal(rng, (config.k_encoder, config.k_encoder, config.c_mid, out_ch), dtype),
-            enc_b=Tensor.zeros((out_ch,), dtype, requires_grad=True),
+            comp_w=source.param(f"{name}.comp.w", (1, 1, channels, c_mid), conv_trunc_normal),
+            comp_b=source.param(f"{name}.comp.b", (c_mid,), zeros),
+            enc_w=source.param(f"{name}.enc.w", (k, k, c_mid, out_ch), conv_trunc_normal),
+            enc_b=source.param(f"{name}.enc.b", (out_ch,), zeros),
         )
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.comp.w", self.comp_w
-        yield f"{prefix}.comp.b", self.comp_b
-        yield f"{prefix}.enc.w", self.enc_w
-        yield f"{prefix}.enc.b", self.enc_b
 
 
 def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:

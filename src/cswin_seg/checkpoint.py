@@ -5,8 +5,7 @@ header, then the payload: concatenated TSR1 tensor records.  The header
 carries the format version, the full network config, the iteration
 counter, the training rng state, and (name, offset, length) for every
 parameter and momentum buffer.  Offsets are relative to the payload start.
-Saving replaces the target atomically: the bytes go to a temp file in the
-same directory, which is fsynced and then renamed over the target.
+Saving replaces the target atomically (``atomic.write_atomic``).
 
 Offsets, shapes and dtypes make loading strict: a checkpoint written for a
 different architecture fails with an error naming the first offending
@@ -15,17 +14,16 @@ tensor rather than silently mis-assigning weights.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import FormatError
+from .initializers import ParamSource
 from .network import Model, NetworkConfig
 from .optim import SGD
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
@@ -71,23 +69,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "momenta": index["momenta"],
     }
     head = json.dumps(header, sort_keys=True).encode()
-    # write a sibling temp file and rename it over the target, so a crash
-    # mid-write leaves the previous checkpoint intact
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(head)))
-            f.write(head)
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, MAGIC, struct.pack("<Q", len(head)), head, payload)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -131,25 +113,28 @@ def _stage_hint(name: str) -> str:
     return ""
 
 
-def apply_to_model(ckpt: Checkpoint, model: Model) -> None:
-    """Copy checkpoint parameters into a model, strictly by name and shape."""
-    own = dict(model.named_parameters())
-    for name in own:
-        if name not in ckpt.params:
-            raise FormatError(f"checkpoint missing parameter {name}{_stage_hint(name)}")
-    for name, stored in ckpt.params.items():
-        if name not in own:
-            raise FormatError(f"checkpoint parameter {name}{_stage_hint(name)} has no counterpart in this config")
-        if stored.shape != own[name].shape:
-            raise FormatError(
-                f"checkpoint parameter {name}{_stage_hint(name)}: shape {stored.shape} != model {own[name].shape}"
-            )
-        own[name].data[...] = stored.data  # casts to the model's dtype in place
-
-
 def restore_model(path) -> tuple[Model, Checkpoint]:
-    """Build a model from a checkpoint's own config and load its weights."""
+    """Build a model from a checkpoint's own config around its stored arrays.
+
+    Nothing is drawn: the model adopts each stored parameter by name.  An f32
+    array is adopted without a copy, so the model's parameters alias the
+    returned ``Checkpoint.params`` (training the model changes both); an f64
+    array is cast to f32.  A stored tensor that the config does not declare,
+    a declared one that is missing and one of the wrong shape each raise
+    ``FormatError`` naming the tensor and its stage.
+    """
     ckpt = load_checkpoint(path)
-    model = Model.create(ckpt.config, seed=0)
-    apply_to_model(ckpt, model)
+
+    def adopt(name, shape, init):
+        stored = ckpt.params.get(name)
+        if stored is None:
+            raise FormatError(f"checkpoint missing parameter {name}{_stage_hint(name)}")
+        if stored.shape != shape:
+            raise FormatError(f"checkpoint parameter {name}{_stage_hint(name)}: shape {stored.shape} != model {shape}")
+        return stored.data.astype(np.float32, copy=False)
+
+    model = Model(ckpt.config, ParamSource(adopt))
+    extra = sorted(set(ckpt.params) - {name for name, _ in model.named_parameters()})
+    if extra:
+        raise FormatError(f"checkpoint parameter {extra[0]}{_stage_hint(extra[0])} has no counterpart in this config")
     return model, ckpt

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import complexity
+from .atomic import write_atomic
 from .attention import AttentionConfig, CSWinBlockParams, cswin_attention
 from .checkpoint import restore_model, save_checkpoint, snapshot
 from .data import class_color, load_dataset, read_ppm, synth_generate, write_pgm, write_ppm
@@ -29,6 +30,7 @@ from .errors import (
     NumericError,
 )
 from .fdsuite import run_suite
+from .initializers import seeded
 from .losses import LossConfig
 from .network import Model, NetworkConfig, default_config, tiny_config
 from .optim import OptimizerConfig
@@ -90,12 +92,12 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "loss.csv").write_text(losses_to_csv(result.losses))
+    write_atomic(out / "loss.csv", losses_to_csv(result.losses).encode())
     ckpt = snapshot(model, optimizer=optimizer, iteration=args.iters)
     ckpt.rng_state = result.rng_state
     save_checkpoint(out / "checkpoint.ckpt", ckpt)
     if result.metrics:
-        (out / "val_metrics.csv").write_text(metrics_to_csv(result.metrics[-1][1]))
+        write_atomic(out / "val_metrics.csv", metrics_to_csv(result.metrics[-1][1]).encode())
     print(f"final loss {result.losses[-1][1]:.4f}; checkpoint and curves in {out}")
     return 0
 
@@ -106,7 +108,7 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, samples, manifest["num_classes"])
     print(report.table())
     if args.out:
-        Path(args.out).write_text(metrics_to_csv(report))
+        write_atomic(args.out, metrics_to_csv(report).encode())
         print(f"report written to {args.out}")
     return 0
 
@@ -186,7 +188,7 @@ def cmd_bench(args) -> int:
         dense_fl = proj + complexity.dense_attention_macs(h, w, c)
         x = Tensor(rng.uniform(-1, 1, (h, w, c)).astype(np.float32))
         cfg_stripe = AttentionConfig(heads=n, sw=sw, channels=c)
-        params = CSWinBlockParams.create(rng, cfg_stripe, dtype="f32")
+        params = CSWinBlockParams.create(seeded(rng), "blk", cfg_stripe)
         stripe_ms = _time_attention(x, params, cfg_stripe)
         # dense baseline: the degenerate full-map stripe (sw = H = W needs a
         # square map; bench shapes keep H == W)
@@ -195,7 +197,7 @@ def cmd_bench(args) -> int:
         rows.append(f"{h},{w},{c},{n},{sw},{stripe_fl},{dense_fl},{stripe_ms:.3f},{dense_ms:.3f}")
         print(f"{f'{h}x{w}x{c} n={n} sw={sw}':>20} {stripe_fl / 1e9:>10.4f} {dense_fl / 1e9:>10.4f} {stripe_ms:>10.2f} {dense_ms:>10.2f}")
     if args.out:
-        Path(args.out).write_text("\n".join(rows) + "\n")
+        write_atomic(args.out, ("\n".join(rows) + "\n").encode())
         print(f"csv written to {args.out}")
     return 0
 

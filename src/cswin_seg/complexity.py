@@ -1,11 +1,11 @@
 """Analytic parameter and FLOP counting.
 
 Counts are exact functions of the configuration: parameters mirror the
-model constructor one for one (a test enumerates the built model to prove
-it), FLOPs count one multiply-accumulate as one FLOP, the convention the
-published complexity figures for this family of models use.  Only matrix
-products and convolutions are counted; normalization, softmax and
-activations are ignored.
+shapes the model's constructors declare (a test sums the declared tensors
+of a built model to prove it), FLOPs count one multiply-accumulate as one
+FLOP, the convention the published complexity figures for this family of
+models use.  Only matrix products and convolutions are counted;
+normalization, softmax and activations are ignored.
 
 Reference targets for the default 224 configuration: 23.57M parameters,
 4.72G FLOPs.

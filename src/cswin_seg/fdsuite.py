@@ -14,6 +14,7 @@ from . import tensor as T
 from .attention import AttentionConfig, CSWinBlockParams, cswin_block
 from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample
 from .gradcheck import check_gradients
+from .initializers import seeded
 from .losses import LossConfig, combined_loss, cross_entropy_loss, dice_loss
 from .network import Model, tiny_config, transposed_conv_upsample
 from .tensor import Tensor, tsum
@@ -133,33 +134,36 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     )
 
     acfg = AttentionConfig(heads=2, sw=2, channels=4)
-    blk = CSWinBlockParams.create(rng, acfg, mlp_ratio=2, dtype="f64")
+    blk_src = seeded(rng, "f64")
+    blk = CSWinBlockParams.create(blk_src, "blk", acfg, mlp_ratio=2)
     xblk = _probe(rng, (4, 4, 4))
     w = _weighted(rng, (4, 4, 4))
     run(
         "cswin_block",
         lambda: w(cswin_block(xblk, blk, acfg)),
-        [("x", xblk)] + list(blk.named("blk")),
+        [("x", xblk)] + blk_src.named,
     )
 
     acfg_lepe = AttentionConfig(heads=2, sw=2, channels=4, lepe_enabled=True)
-    blk_lepe = CSWinBlockParams.create(rng, acfg_lepe, mlp_ratio=2, dtype="f64")
+    lepe_src = seeded(rng, "f64")
+    blk_lepe = CSWinBlockParams.create(lepe_src, "blk", acfg_lepe, mlp_ratio=2)
     xlep = _probe(rng, (4, 2, 4))
     w = _weighted(rng, (4, 2, 4))
     run(
         "cswin_block_lepe",
         lambda: w(cswin_block(xlep, blk_lepe, acfg_lepe)),
-        [("x", xlep)] + list(blk_lepe.named("blk")),
+        [("x", xlep)] + lepe_src.named,
     )
 
     ucfg = UpsampleConfig(sigma=2, k_up=3, c_mid=3)
-    upar = KernelPredictorParams.create(rng, 4, ucfg, dtype="f64")
+    up_src = seeded(rng, "f64")
+    upar = KernelPredictorParams.create(up_src, "up", 4, ucfg)
     xcar = _probe(rng, (3, 3, 4))
     w = _weighted(rng, (6, 6, 4))
     run(
         "carafe_upsample",
         lambda: w(carafe_upsample(xcar, upar, ucfg)),
-        [("x", xcar)] + list(upar.named("up")),
+        [("x", xcar)] + up_src.named,
     )
 
     labels = rng.integers(0, 3, (4, 4))

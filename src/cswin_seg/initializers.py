@@ -1,10 +1,44 @@
-"""Weight initialization."""
+"""Parameter sources and weight initializers.
+
+Constructors declare each parameter once, as ``source.param(name, shape,
+init)``.  ``seeded`` draws it with ``init(rng, shape, dtype)``; a checkpoint
+restore adopts the stored array of that name instead.
+"""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .tensor import DTYPES, Tensor
+
+
+class ParamSource:
+    """``make(name, shape, init)`` supplies each declared parameter's array;
+    ``named`` records the (name, tensor) pairs in declaration order."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+        self.named: list[tuple[str, Tensor]] = []
+
+    def param(self, name: str, shape, init: Callable) -> Tensor:
+        t = Tensor(self.make(name, tuple(shape), init), requires_grad=True)
+        self.named.append((name, t))
+        return t
+
+
+def seeded(rng: np.random.Generator, dtype: str = "f32") -> ParamSource:
+    """Draws every parameter with ``init(rng, shape, dtype)``, in declaration order."""
+    return ParamSource(lambda name, shape, init: init(rng, shape, dtype))
+
+
+def zeros(rng, shape, dtype: str) -> Tensor:
+    return Tensor.zeros(shape, dtype)
+
+
+def ones(rng, shape, dtype: str) -> Tensor:
+    return Tensor.ones(shape, dtype)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype: str = "f32") -> Tensor:

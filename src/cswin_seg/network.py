@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .attention import AttentionConfig, CSWinBlockParams, cswin_block
 from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample
 from .errors import ConfigError, DimensionError
-from .initializers import conv_trunc_normal
+from .initializers import ParamSource, conv_trunc_normal, seeded, zeros
 from .tensor import (
     Tensor,
     add,
     concat,
     conv2d,
-    linear,
     matmul,
     permute,
     pixel_shuffle,
@@ -178,15 +177,11 @@ class ConvParams:
     b: Tensor
 
     @staticmethod
-    def create(rng, kh: int, kw: int, cin: int, cout: int, dtype: str) -> "ConvParams":
+    def create(source: ParamSource, name: str, kh: int, kw: int, cin: int, cout: int) -> "ConvParams":
         return ConvParams(
-            w=conv_trunc_normal(rng, (kh, kw, cin, cout), dtype),
-            b=Tensor.zeros((cout,), dtype, requires_grad=True),
+            w=source.param(f"{name}.w", (kh, kw, cin, cout), conv_trunc_normal),
+            b=source.param(f"{name}.b", (cout,), zeros),
         )
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
 
 
 def transposed_conv_upsample(x: Tensor, w: Tensor, b: Tensor, sigma: int) -> Tensor:
@@ -206,32 +201,29 @@ def transposed_conv_upsample(x: Tensor, w: Tensor, b: Tensor, sigma: int) -> Ten
 class Model:
     """Parameter container plus the forward pass.
 
-    Parameters live in small dataclasses mirroring the architecture; a
-    deterministic name -> tensor registry drives checkpoints and counting.
+    Parameters live in small dataclasses mirroring the architecture, each
+    declared once by name to a ``ParamSource``: seeded draws for ``create``,
+    a checkpoint's stored arrays for ``checkpoint.restore_model``.  The
+    declared (name, tensor) pairs, in declaration order, are the registry
+    that checkpoints, the optimizer and counting read.
     """
 
-    def __init__(self, config: NetworkConfig, rng: np.random.Generator, dtype: str = "f32"):
+    def __init__(self, config: NetworkConfig, source: ParamSource):
         self.config = config
-        self.dtype = dtype
         cfg = config
         c = cfg.embed_dim
+        first = len(source.named)
 
-        self.embed = ConvParams.create(rng, 7, 7, cfg.in_channels, c, dtype)
-        self.enc_stages: list[list[CSWinBlockParams]] = []
-        self.dec_stages: list[list[CSWinBlockParams]] = []
-        for i in range(NUM_STAGES):
-            acfg = cfg.attention_config(i)
-            self.enc_stages.append(
-                [CSWinBlockParams.create(rng, acfg, cfg.mlp_ratio, dtype) for _ in range(cfg.depths[i])]
-            )
+        def stage(part: str, i: int) -> list[CSWinBlockParams]:
+            acfg, depth = cfg.attention_config(i), cfg.depths[i]
+            return [CSWinBlockParams.create(source, f"{part}.s{i}.b{j}", acfg, cfg.mlp_ratio) for j in range(depth)]
+
+        self.embed = ConvParams.create(source, "embed", 7, 7, cfg.in_channels, c)
+        self.enc_stages = [stage("enc", i) for i in range(NUM_STAGES)]
         self.down = [
-            ConvParams.create(rng, 3, 3, cfg.stage_dim(i), cfg.stage_dim(i + 1), dtype) for i in range(3)
+            ConvParams.create(source, f"down{i}", 3, 3, cfg.stage_dim(i), cfg.stage_dim(i + 1)) for i in range(3)
         ]
-        for i in range(NUM_STAGES):
-            acfg = cfg.attention_config(i)
-            self.dec_stages.append(
-                [CSWinBlockParams.create(rng, acfg, cfg.mlp_ratio, dtype) for _ in range(cfg.depths[i])]
-            )
+        self.dec_stages = [stage("dec", i) for i in range(NUM_STAGES)]
         # decoder step d: upsample from dim 8C/2^d, then halve channels
         self.ups: list[Optional[KernelPredictorParams | ConvParams]] = []
         self.halve: list[ConvParams] = []
@@ -239,46 +231,30 @@ class Model:
         for d in range(3):
             src = cfg.stage_dim(3 - d)
             dst = src // 2
-            self.ups.append(self._make_upsampler(rng, src, sigma=2))
-            self.halve.append(ConvParams.create(rng, 1, 1, src, dst, dtype))
-            self.fuse.append(ConvParams.create(rng, 1, 1, 2 * dst, dst, dtype) if cfg.skip_enabled(d) else None)
-        self.head_up = self._make_upsampler(rng, c, sigma=4)
-        self.classifier = ConvParams.create(rng, 1, 1, c, cfg.num_classes, dtype)
+            self.ups.append(self._make_upsampler(source, f"up{d}", src, sigma=2))
+            self.halve.append(ConvParams.create(source, f"halve{d}", 1, 1, src, dst))
+            fuse = ConvParams.create(source, f"fuse{d}", 1, 1, 2 * dst, dst) if cfg.skip_enabled(d) else None
+            self.fuse.append(fuse)
+        self.head_up = self._make_upsampler(source, "head.up", c, sigma=4)
+        self.classifier = ConvParams.create(source, "head.cls", 1, 1, c, cfg.num_classes)
+        self._named = source.named[first:]
 
-    def _make_upsampler(self, rng, channels: int, sigma: int):
+    def _make_upsampler(self, source: ParamSource, name: str, channels: int, sigma: int):
         kind = self.config.upsampler
         if kind == "carafe":
-            return KernelPredictorParams.create(rng, channels, self.config.upsample_config(sigma), self.dtype)
+            return KernelPredictorParams.create(source, name, channels, self.config.upsample_config(sigma))
         if kind == "transposed_conv":
-            return ConvParams.create(rng, sigma, sigma, channels, channels, self.dtype)
+            return ConvParams.create(source, name, sigma, sigma, channels, channels)
         return None  # bilinear has no parameters
 
     @staticmethod
     def create(config: NetworkConfig, seed: int = 0, dtype: str = "f32") -> "Model":
-        return Model(config, np.random.default_rng(seed), dtype)
+        return Model(config, seeded(np.random.default_rng(seed), dtype))
 
     # -- parameter registry ----------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = list(self.embed.named("embed"))
-        for i, stage in enumerate(self.enc_stages):
-            for j, blk in enumerate(stage):
-                out.extend(blk.named(f"enc.s{i}.b{j}"))
-        for i, conv in enumerate(self.down):
-            out.extend(conv.named(f"down{i}"))
-        for i, stage in enumerate(self.dec_stages):
-            for j, blk in enumerate(stage):
-                out.extend(blk.named(f"dec.s{i}.b{j}"))
-        for d in range(3):
-            if self.ups[d] is not None:
-                out.extend(self.ups[d].named(f"up{d}"))
-            out.extend(self.halve[d].named(f"halve{d}"))
-            if self.fuse[d] is not None:
-                out.extend(self.fuse[d].named(f"fuse{d}"))
-        if self.head_up is not None:
-            out.extend(self.head_up.named("head.up"))
-        out.extend(self.classifier.named("head.cls"))
-        return out
+        return list(self._named)
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ContractError, DimensionError, FormatError, NumericError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -740,8 +741,7 @@ def tensor_from_bytes(buf) -> Tensor:
 
 
 def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as f:
-        f.write(tensor_to_bytes(t))
+    write_atomic(path, tensor_to_bytes(t))
 
 
 def load_tensor(path) -> Tensor:

@@ -17,6 +17,7 @@ from cswin_seg.cli import main as cli_main
 from cswin_seg.checkpoint import save_checkpoint, snapshot
 from cswin_seg.data import load_dataset, read_pgm, read_ppm, synth_generate, write_pgm, write_ppm
 from cswin_seg.fdsuite import run_suite
+from cswin_seg.initializers import seeded
 from cswin_seg.losses import LossConfig, cross_entropy_loss
 from cswin_seg.metrics import dsc, hausdorff, se_sp_acc
 from cswin_seg.network import Model, default_config, tiny_config
@@ -74,7 +75,7 @@ class TestCriterion2:
         for _ in range(trials):
             h, w, c, n, sw = random_stripe_config(rng)
             config = AttentionConfig(heads=n, sw=sw, channels=c)
-            params = CSWinBlockParams.create(rng, config, dtype="f64")
+            params = CSWinBlockParams.create(seeded(rng, "f64"), "blk", config)
             x = Tensor(rng.uniform(-1, 1, (h, w, c)), dtype="f64")
             got = cswin_attention(x, params, config).data
             want = cross_window_attention(x.data, *per_head(params.wqkv.data, 3), params.wo.data, sw)
@@ -90,7 +91,7 @@ class TestCriterion3:
             n = int(rng.choice([2, 4]))
             c = n * int(rng.integers(1, 5))
             config = AttentionConfig(heads=n, sw=size, channels=c)
-            params = CSWinBlockParams.create(rng, config, dtype="f64")
+            params = CSWinBlockParams.create(seeded(rng, "f64"), "blk", config)
             x = Tensor(rng.uniform(-1, 1, (size, size, c)), dtype="f64")
             got = cswin_attention(x, params, config).data
             # full two-group global attention: every head attends over all
@@ -118,7 +119,7 @@ class TestCriterion4:
             c = int(rng.integers(1, 4))
             cfg = UpsampleConfig(sigma=sigma, k_up=k_up, c_mid=3)
             x = rng.uniform(-1, 1, (h, w, c))
-            params = KernelPredictorParams.create(rng, c, cfg, dtype="f64")
+            params = KernelPredictorParams.create(seeded(rng, "f64"), "up", c, cfg)
             field = predict_kernels(Tensor(x, dtype="f64"), params, cfg)
             worst_kernel = max(worst_kernel, float(np.abs(field.data.sum(axis=-1) - 1.0).max()))
             got = reassemble(Tensor(x, dtype="f64"), field, cfg).data

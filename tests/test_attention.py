@@ -4,13 +4,14 @@ import pytest
 from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_attention, cswin_block
 from cswin_seg.errors import ConfigError
 from cswin_seg.gradcheck import check_gradients
+from cswin_seg.initializers import seeded
 from cswin_seg.tensor import Tape, Tensor, tsum
 
 from oracles import cross_window_attention, dense_attention, per_head
 
 
 def make_params(rng, config, mlp_ratio=4, dtype="f64"):
-    return CSWinBlockParams.create(rng, config, mlp_ratio=mlp_ratio, dtype=dtype)
+    return CSWinBlockParams.create(seeded(rng, dtype), "b", config, mlp_ratio=mlp_ratio)
 
 
 def randx(rng, h, w, c, dtype="f64"):
@@ -265,8 +266,9 @@ class TestCSWinBlock:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(17)
         config = AttentionConfig(heads=2, sw=2, channels=4)
-        params = make_params(rng, config)
-        for name, t in params.named("b"):
+        source = seeded(rng, "f64")
+        params = CSWinBlockParams.create(source, "b", config)
+        for name, t in source.named:
             t.data[:] = 0.0
         x = randx(rng, 4, 4, 4)
         out = cswin_block(x, params, config)
@@ -286,11 +288,12 @@ class TestCSWinBlock:
             counts = set()
             for n in (2, 16):
                 config = AttentionConfig(heads=n, sw=2, channels=32, lepe_enabled=lepe)
-                params = make_params(rng, config, mlp_ratio=1)
+                source = seeded(rng, "f64")
+                params = CSWinBlockParams.create(source, "b", config, mlp_ratio=1)
                 x = Tensor(rng.uniform(-1, 1, (4, 4, 32)), requires_grad=True)
                 with Tape() as tape:
                     cswin_block(x, params, config)
-                counts.add((len(list(params.named("b"))), len(tape.entries)))
+                counts.add((len(source.named), len(tape.entries)))
             assert len(counts) == 1, (lepe, counts)
             (tensors, _), = counts
             assert tensors == (11 if lepe else 10)
@@ -298,15 +301,17 @@ class TestCSWinBlock:
     def test_full_block_gradients(self):
         rng = np.random.default_rng(19)
         config = AttentionConfig(heads=2, sw=2, channels=4)
-        params = make_params(rng, config, mlp_ratio=2)
+        source = seeded(rng, "f64")
+        params = CSWinBlockParams.create(source, "blk", config, mlp_ratio=2)
         x = Tensor(rng.uniform(-1, 1, (4, 4, 4)), dtype="f64", requires_grad=True)
-        named = [("x", x)] + list(params.named("blk"))
+        named = [("x", x)] + source.named
         check_gradients(lambda: tsum(cswin_block(x, params, config)), named, tol=1e-4)
 
     def test_full_block_gradients_with_lepe(self):
         rng = np.random.default_rng(20)
         config = AttentionConfig(heads=2, sw=2, channels=4, lepe_enabled=True)
-        params = make_params(rng, config, mlp_ratio=2)
+        source = seeded(rng, "f64")
+        params = CSWinBlockParams.create(source, "blk", config, mlp_ratio=2)
         x = Tensor(rng.uniform(-1, 1, (4, 2, 4)), dtype="f64", requires_grad=True)
-        named = [("x", x)] + list(params.named("blk"))
+        named = [("x", x)] + source.named
         check_gradients(lambda: tsum(cswin_block(x, params, config)), named, tol=1e-4)

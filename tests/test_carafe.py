@@ -12,6 +12,7 @@ from cswin_seg.carafe import (
 )
 from cswin_seg.errors import ConfigError, DimensionError
 from cswin_seg.gradcheck import check_gradients
+from cswin_seg.initializers import seeded
 from cswin_seg.tensor import Tape, Tensor, backward, reassemble_hood, tsum
 
 from oracles import reassemble_naive
@@ -31,7 +32,7 @@ class TestPredictKernels:
     def test_kernels_are_probability_vectors(self):
         rng = np.random.default_rng(0)
         cfg = UpsampleConfig(sigma=2, k_up=5, c_mid=8)
-        params = KernelPredictorParams.create(rng, 8, cfg, dtype="f64")
+        params = KernelPredictorParams.create(seeded(rng, "f64"), "up", 8, cfg)
         x = Tensor(rng.uniform(-1, 1, (4, 4, 8)), dtype="f64")
         field = predict_kernels(x, params, cfg)
         assert field.shape == (8, 8, 25)
@@ -41,7 +42,7 @@ class TestPredictKernels:
     def test_zero_encoder_gives_uniform_kernels(self):
         rng = np.random.default_rng(1)
         cfg = UpsampleConfig(sigma=2, k_up=3, c_mid=4)
-        params = KernelPredictorParams.create(rng, 6, cfg, dtype="f64")
+        params = KernelPredictorParams.create(seeded(rng, "f64"), "up", 6, cfg)
         params.enc_w.data[:] = 0.0
         params.enc_b.data[:] = 0.0
         x = Tensor(rng.uniform(-1, 1, (3, 3, 6)), dtype="f64")
@@ -52,7 +53,7 @@ class TestPredictKernels:
         # recompute the kernel of output pixel (5, 3) through the conv chain
         rng = np.random.default_rng(2)
         cfg = UpsampleConfig(sigma=2, k_up=5, c_mid=8)
-        params = KernelPredictorParams.create(rng, 8, cfg, dtype="f64")
+        params = KernelPredictorParams.create(seeded(rng, "f64"), "up", 8, cfg)
         x = rng.uniform(-1, 1, (4, 4, 8))
         field = predict_kernels(Tensor(x, dtype="f64"), params, cfg)
 
@@ -109,7 +110,7 @@ class TestReassemble:
     def test_convex_hull_bound_interior(self):
         rng = np.random.default_rng(5)
         cfg = UpsampleConfig(sigma=2, k_up=3)
-        params = KernelPredictorParams.create(rng, 4, cfg, dtype="f64")
+        params = KernelPredictorParams.create(seeded(rng, "f64"), "up", 4, cfg)
         x = rng.uniform(-1, 1, (6, 6, 4))
         out = carafe_upsample(Tensor(x, dtype="f64"), params, cfg).data
         r = 1
@@ -124,7 +125,7 @@ class TestReassemble:
         rng = np.random.default_rng(6)
         for sigma in (1, 2, 4):
             cfg = UpsampleConfig(sigma=sigma, k_up=3, c_mid=4)
-            params = KernelPredictorParams.create(rng, 5, cfg, dtype="f64")
+            params = KernelPredictorParams.create(seeded(rng, "f64"), "up", 5, cfg)
             x = Tensor(rng.uniform(-1, 1, (3, 4, 5)), dtype="f64")
             assert carafe_upsample(x, params, cfg).shape == (3 * sigma, 4 * sigma, 5)
 
@@ -165,10 +166,11 @@ class TestGradients:
     def test_end_to_end_gradcheck(self):
         rng = np.random.default_rng(7)
         cfg = UpsampleConfig(sigma=2, k_up=3, c_mid=3)
-        params = KernelPredictorParams.create(rng, 4, cfg, dtype="f64")
+        source = seeded(rng, "f64")
+        params = KernelPredictorParams.create(source, "up", 4, cfg)
         x = Tensor(rng.uniform(-1, 1, (3, 3, 4)), dtype="f64", requires_grad=True)
         # O(0.1)-scale probe loss keeps central-difference round-off below
         # the 1e-8 relative-error floor
         weights = Tensor(rng.uniform(-1, 1, (6, 6, 4)) / 144.0, dtype="f64")
-        named = [("x", x)] + list(params.named("up"))
+        named = [("x", x)] + source.named
         check_gradients(lambda: tsum(carafe_upsample(x, params, cfg) * weights), named, tol=1e-4)

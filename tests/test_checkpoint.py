@@ -4,17 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cswin_seg import checkpoint
+from cswin_seg import atomic, checkpoint
 from cswin_seg.checkpoint import (
-    apply_to_model,
+    Checkpoint,
     load_checkpoint,
     restore_model,
     save_checkpoint,
     snapshot,
 )
+from cswin_seg.cli import main as cli_main
+from cswin_seg.data import synth_generate
 from cswin_seg.errors import FormatError
 from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import SGD, OptimizerConfig
+from cswin_seg.tensor import Tensor, save_tensor
 
 
 def micro(**overrides):
@@ -56,8 +59,6 @@ class TestRoundtrip:
             assert (back.momenta[name].data == v).all(), name
 
     def test_restore_model_runs(self, tmp_path):
-        from cswin_seg.tensor import Tensor
-
         model = Model.create(micro(), seed=6)
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, snapshot(model))
@@ -66,6 +67,45 @@ class TestRoundtrip:
         a = model.forward(img).data
         b = restored.forward(img).data
         assert (a == b).all()
+
+    def test_restore_adopts_stored_arrays(self, tmp_path):
+        model = Model.create(micro(lepe_enabled=True), seed=7)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(model))
+        restored, ckpt = restore_model(p)
+        saved = model.named_parameters()
+        got = restored.named_parameters()
+        assert [n for n, _ in got] == [n for n, _ in saved]
+        for (name, want), (_, t) in zip(saved, got):
+            assert t.data.dtype == np.float32 and t.requires_grad, name
+            assert t.data.tobytes() == want.data.tobytes(), name
+            # no copy: the model's array is the checkpoint's
+            assert np.shares_memory(t.data, ckpt.params[name].data), name
+
+    def test_restore_holds_one_copy_of_the_parameters(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(tiny_config(), seed=0)))
+        tracemalloc.start()
+        try:
+            model, ckpt = restore_model(p)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(t.data.nbytes for t in model.parameters())
+        assert held <= 1.1 * param_bytes, f"model and checkpoint hold {held / param_bytes:.2f}x the parameter bytes"
+
+    def test_restore_peak_memory(self, tmp_path):
+        # the file's bytes plus one copy of each tensor; no drawn model on top
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(tiny_config(), seed=0)))
+        tracemalloc.start()
+        try:
+            restore_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(p)
+        assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
 
     def test_load_peak_memory(self, tmp_path):
         # the payload is sliced as a memoryview, so each tensor is copied
@@ -110,31 +150,47 @@ class TestNegativePaths:
             load_checkpoint(p)
 
     def test_depth_mismatch_names_stage(self, tmp_path):
-        deep = Model.create(micro(depths=(1, 1, 2, 1)), seed=0)
+        # tensors of a deeper stage 2 under a config that declares one block
+        deep = snapshot(Model.create(micro(depths=(1, 1, 2, 1)), seed=0))
         p = tmp_path / "deep.ckpt"
-        save_checkpoint(p, snapshot(deep))
-        shallow = Model.create(micro(depths=(1, 1, 1, 1)), seed=0)
-        with pytest.raises(FormatError, match=r"stage 2"):
-            apply_to_model(load_checkpoint(p), shallow)
+        save_checkpoint(p, Checkpoint(config=micro(depths=(1, 1, 1, 1)), params=deep.params))
+        with pytest.raises(FormatError, match=r"dec\.s2\.b1\.\S+ \(stage 2\) has no counterpart"):
+            restore_model(p)
 
     def test_width_mismatch_reports_shape(self, tmp_path):
-        a = Model.create(micro(embed_dim=8), seed=0)
+        narrow = snapshot(Model.create(micro(embed_dim=8), seed=0))
         p = tmp_path / "a.ckpt"
-        save_checkpoint(p, snapshot(a))
-        b = Model.create(micro(embed_dim=16), seed=0)
-        with pytest.raises(FormatError, match="shape"):
-            apply_to_model(load_checkpoint(p), b)
+        save_checkpoint(p, Checkpoint(config=micro(embed_dim=16), params=narrow.params))
+        with pytest.raises(FormatError, match=r"embed\.w: shape \(7, 7, 3, 8\) != model \(7, 7, 3, 16\)"):
+            restore_model(p)
+
+    @pytest.mark.parametrize("fault", ["missing", "extra", "shape"])
+    def test_stored_tensor_disagreeing_with_config_names_it(self, tmp_path, fault):
+        ckpt = snapshot(Model.create(micro(), seed=0))
+        if fault == "missing":
+            del ckpt.params["enc.s1.b0.mlp.w1"]
+            expect = r"missing parameter enc\.s1\.b0\.mlp\.w1 \(stage 1\)"
+        elif fault == "extra":
+            ckpt.params["dec.s3.b0.extra"] = Tensor(np.zeros(4, np.float32))
+            expect = r"parameter dec\.s3\.b0\.extra \(stage 3\) has no counterpart"
+        else:
+            ckpt.params["dec.s0.b0.wo"] = Tensor(np.zeros((8, 4), np.float32))
+            expect = r"parameter dec\.s0\.b0\.wo \(stage 0\): shape \(8, 4\) != model \(8, 8\)"
+        p = tmp_path / "bad.ckpt"
+        save_checkpoint(p, ckpt)
+        with pytest.raises(FormatError, match=expect):
+            restore_model(p)
 
 
 class _FailingFile:
-    """A file whose third write stores half its bytes and then fails."""
+    """A file whose fail_at-th write stores half its bytes and then fails."""
 
-    def __init__(self, f):
-        self.f, self.writes = f, 0
+    def __init__(self, f, fail_at):
+        self.f, self.fail_at, self.writes = f, fail_at, 0
 
     def write(self, b):
         self.writes += 1
-        if self.writes == 3:
+        if self.writes == self.fail_at:
             self.f.write(bytes(b[: len(b) // 2]))
             raise OSError(28, "No space left on device")
         return self.f.write(b)
@@ -149,21 +205,26 @@ class _FailingFile:
         self.f.close()
 
 
+def _inject(monkeypatch, fault, fail_at):
+    """Make the crash-safe write path fail at a write, the fsync or the rename."""
+
+    def boom(*args, **kwargs):
+        raise OSError(5, f"injected {fault} failure")
+
+    if fault == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(atomic.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k), fail_at))
+    else:
+        monkeypatch.setattr(atomic.os, fault, boom)
+
+
 class TestCrashSafeSave:
     @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fault):
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, snapshot(Model.create(micro(), seed=1), iteration=1))
         before = p.read_bytes()
-
-        def boom(*args, **kwargs):
-            raise OSError(5, f"injected {fault} failure")
-
-        if fault == "write":
-            real_fdopen = os.fdopen
-            monkeypatch.setattr(checkpoint.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k)))
-        else:
-            monkeypatch.setattr(checkpoint.os, fault, boom)
+        _inject(monkeypatch, fault, fail_at=3)  # the header write, after magic and length
         with pytest.raises(OSError):
             save_checkpoint(p, snapshot(Model.create(micro(), seed=2), iteration=2))
         monkeypatch.undo()
@@ -177,3 +238,33 @@ class TestCrashSafeSave:
         save_checkpoint(p, snapshot(Model.create(micro(), seed=2), iteration=2))
         assert load_checkpoint(p).iteration == 2
         assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
+
+    @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+    def test_failed_tensor_save_keeps_previous_file(self, tmp_path, monkeypatch, fault):
+        p = tmp_path / "t.tsr"
+        save_tensor(p, Tensor(np.arange(6.0).reshape(2, 3)))
+        before = p.read_bytes()
+        _inject(monkeypatch, fault, fail_at=1)
+        with pytest.raises(OSError):
+            save_tensor(p, Tensor(np.ones((4, 5), np.float32)))
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.tsr"]
+
+    @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch, capsys, fault):
+        data, ckpt, out = tmp_path / "d", tmp_path / "m.ckpt", tmp_path / "out"
+        synth_generate(data, 2, 32, 3, seed=0, test=1)
+        save_checkpoint(ckpt, snapshot(Model.create(micro(), seed=1)))
+        out.mkdir()
+        report = out / "report.csv"
+        report.write_bytes(b"previous report\n")
+        argv = ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(report)]
+        _inject(monkeypatch, fault, fail_at=1)
+        assert cli_main(argv) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err.startswith("error:")
+        assert report.read_bytes() == b"previous report\n"
+        assert sorted(os.listdir(out)) == ["report.csv"]
+        assert cli_main(argv) == 0
+        assert report.read_text().startswith("class,dsc,hd,hd95")
