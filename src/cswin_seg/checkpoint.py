@@ -26,7 +26,7 @@ from .errors import FormatError
 from .initializers import ParamSource
 from .network import Model, NetworkConfig
 from .optim import SGD
-from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
+from .tensor import Tensor, tensor_from_bytes, tensor_record
 
 MAGIC = b"CKPT1"
 VERSION = 2  # version 1 stored per-head Q/K/V tensors (h{i}.wq, h{i}.wk, h{i}.wv)
@@ -53,13 +53,19 @@ def snapshot(model: Model, optimizer: SGD | None = None, iteration: int = 0, rng
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    payload = bytearray()
+    """Write the header, then stream each TSR1 record straight from its
+    tensor's array: offsets come from the record sizes, so the payload is
+    never joined in memory."""
+    records = []
     index = {"params": [], "momenta": []}
+    offset = 0
     for section, tensors in (("params", ckpt.params), ("momenta", ckpt.momenta)):
         for name in sorted(tensors):
-            blob = tensor_to_bytes(tensors[name])
-            index[section].append({"name": name, "offset": len(payload), "length": len(blob)})
-            payload.extend(blob)
+            head, body = tensor_record(tensors[name])
+            length = len(head) + body.nbytes
+            index[section].append({"name": name, "offset": offset, "length": length})
+            offset += length
+            records += (head, body)
     header = {
         "version": VERSION,
         "config": ckpt.config.to_dict(),
@@ -69,7 +75,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "momenta": index["momenta"],
     }
     head = json.dumps(header, sort_keys=True).encode()
-    write_atomic(path, MAGIC, struct.pack("<Q", len(head)), head, payload)
+    write_atomic(path, [MAGIC, struct.pack("<Q", len(head)), head, *records])
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -92,12 +92,12 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "loss.csv", losses_to_csv(result.losses).encode())
+    write_atomic(out / "loss.csv", [losses_to_csv(result.losses).encode()])
     ckpt = snapshot(model, optimizer=optimizer, iteration=args.iters)
     ckpt.rng_state = result.rng_state
     save_checkpoint(out / "checkpoint.ckpt", ckpt)
     if result.metrics:
-        write_atomic(out / "val_metrics.csv", metrics_to_csv(result.metrics[-1][1]).encode())
+        write_atomic(out / "val_metrics.csv", [metrics_to_csv(result.metrics[-1][1]).encode()])
     print(f"final loss {result.losses[-1][1]:.4f}; checkpoint and curves in {out}")
     return 0
 
@@ -108,7 +108,7 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, samples, manifest["num_classes"])
     print(report.table())
     if args.out:
-        write_atomic(args.out, metrics_to_csv(report).encode())
+        write_atomic(args.out, [metrics_to_csv(report).encode()])
         print(f"report written to {args.out}")
     return 0
 
@@ -197,7 +197,7 @@ def cmd_bench(args) -> int:
         rows.append(f"{h},{w},{c},{n},{sw},{stripe_fl},{dense_fl},{stripe_ms:.3f},{dense_ms:.3f}")
         print(f"{f'{h}x{w}x{c} n={n} sw={sw}':>20} {stripe_fl / 1e9:>10.4f} {dense_fl / 1e9:>10.4f} {stripe_ms:>10.2f} {dense_ms:>10.2f}")
     if args.out:
-        write_atomic(args.out, ("\n".join(rows) + "\n").encode())
+        write_atomic(args.out, [("\n".join(rows) + "\n").encode()])
         print(f"csv written to {args.out}")
     return 0
 
@@ -247,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--overlay", default=None)
     s.set_defaults(fn=cmd_predict)
 
-    s = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    s.add_argument("--dtype", choices=("f64",), default="f64", help="checks are only meaningful in f64")
+    s = sub.add_parser("gradcheck", help="finite-difference gradient suite (f64)")
     s.add_argument("--full", action="store_true", help="include the end-to-end tiny-network check")
     s.add_argument("--tol", type=float, default=1e-4)
     s.add_argument("--seed", type=int, default=0)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, DataError, FormatError
 
 # dataset-level mean pixel fraction per foreground class stays inside
@@ -68,9 +69,7 @@ def write_pgm(path, mask: np.ndarray) -> None:
     if mask.min() < 0 or mask.max() > 255:
         raise DataError("PGM mask values must fit in a byte")
     h, w = mask.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(mask.astype(np.uint8).tobytes())
+    write_atomic(path, [f"P5\n{w} {h}\n255\n".encode(), mask.astype(np.uint8).tobytes()])
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -80,9 +79,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     h, w, _ = image.shape
     if image.dtype != np.uint8:
         image = (np.clip(image, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(image.tobytes())
+    write_atomic(path, [f"P6\n{w} {h}\n255\n".encode(), image.tobytes()])
 
 
 def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
@@ -251,9 +248,7 @@ def synth_generate(
         "generator": {"shape_kinds": list(_SHAPE_KINDS), "class_fraction_bounds": list(CLASS_FRACTION_BOUNDS)},
         "samples": entries,
     }
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(out_dir / "manifest.json", [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
     return manifest
 
 

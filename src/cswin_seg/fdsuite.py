@@ -114,10 +114,9 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
 
     run("permute_reshape_split_concat", structural, [("x", xt)])
 
-    hood = _probe(rng, (2, 3, 9, 2))
-    kern = _probe(rng, (4, 6, 9))
-    w = _weighted(rng, (4, 6, 2))
-    run("reassemble_hood", lambda: w(T.reassemble_hood(hood, kern)), [("hood", hood), ("field", kern)])
+    mb, ma = _probe(rng, (2, 3, 9, 2)), _probe(rng, (2, 3, 4, 9))  # b before a: later entries depend on this draw order
+    w = _weighted(rng, (2, 3, 4, 2))
+    run("matmul_shared_batch", lambda: w(T.matmul(ma, mb)), [("a", ma), ("b", mb)])
 
     xb2 = _probe(rng, (3, 4, 2))
     w = _weighted(rng, (6, 8, 2))

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import write_atomic
 from .attention import AttentionConfig, CSWinBlockParams, cswin_block
 from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample
 from .errors import ConfigError, DimensionError
@@ -137,9 +138,7 @@ class NetworkConfig:
         return NetworkConfig(**d)
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        write_atomic(path, [(json.dumps(self.to_dict(), indent=2) + "\n").encode()])
 
     @staticmethod
     def load(path) -> "NetworkConfig":

@@ -13,6 +13,8 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
+POLY_POWER = 0.9  # exponent of the "poly" schedule: lr * (1 - it/max_it)^0.9
+
 
 @dataclass
 class OptimizerConfig:
@@ -23,7 +25,6 @@ class OptimizerConfig:
     max_iterations: int = 300
     seed: int = 0
     lr_schedule: str = "constant"  # "constant" | "poly"
-    poly_power: float = 0.9
 
     def __post_init__(self):
         if self.lr < 0:
@@ -41,7 +42,7 @@ class OptimizerConfig:
 
     def lr_at(self, iteration: int) -> float:
         if self.lr_schedule == "poly":
-            return self.lr * (1.0 - iteration / self.max_iterations) ** self.poly_power
+            return self.lr * (1.0 - iteration / self.max_iterations) ** POLY_POWER
         return self.lr
 
 

@@ -13,6 +13,9 @@ Design notes:
   * gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
   * conv2d is an explicit patch gather (im2col) feeding one ``linear``; a
     1x1, stride-1, unpadded kernel skips the gather.
+  * Upsamplers are compositions, not primitives: bilinear is two ``matmul``s
+    against fixed interpolation matrices, and CARAFE (``carafe.py``) is
+    ``patches``, a batched ``matmul`` and ``pixel_shuffle``.
   * Forward ops never check for NaN/Inf; ``backward`` validates the loss
     and names the first op with a non-finite output.
   * The tape keeps only what a gradient reads.  Each entry holds its inputs,
@@ -27,7 +30,7 @@ Design notes:
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +39,6 @@ from .errors import ContractError, DimensionError, FormatError, NumericError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-
-Scalar = Union[int, float]
 
 
 class Tensor:
@@ -68,10 +69,6 @@ class Tensor:
     def ones(shape: Sequence[int], dtype: str = "f32", requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=DTYPES[dtype]), requires_grad=requires_grad)
 
-    @staticmethod
-    def full(shape: Sequence[int], value: Scalar, dtype: str = "f32") -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=DTYPES[dtype]))
-
     # -- introspection --------------------------------------------------------
 
     @property
@@ -94,12 +91,6 @@ class Tensor:
         if self.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def astype(self, dtype: str) -> "Tensor":
-        return Tensor(self.data.astype(DTYPES[dtype]), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -357,11 +348,6 @@ def tsum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
     return _emit("sum", (x,), out, grad_fn)
 
 
-def tmean(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return tsum(x, axis=axis, keepdims=keepdims) * Tensor(np.asarray(1.0 / n, dtype=x.data.dtype))
-
-
 # -- structural primitives -----------------------------------------------------
 
 
@@ -615,75 +601,23 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
     return tsum(prod, axis=-2)
 
 
-def reassemble_hood(hood: Tensor, field: Tensor) -> Tensor:
-    """Per-pixel kernel sums over gathered neighborhoods.
-
-    hood [H,W,K,C] and field [s*H, s*W, K] -> [s*H, s*W, C]: output pixel
-    (i*s + di, j*s + dj) is field[i*s + di, j*s + dj] @ hood[i, j].  Each
-    source pixel runs one [s^2,K] x [K,C] matmul, so the upsampled
-    neighborhood [s*H, s*W, K, C] is never built.
-    """
-    if hood.ndim != 4 or field.ndim != 3:
-        raise DimensionError(f"reassemble_hood expects [H,W,K,C] and [sH,sW,K], got {hood.shape} and {field.shape}")
-    _check_dtypes("reassemble_hood", hood, field)
-    h, w, k, c = hood.shape
-    s = field.shape[0] // max(h, 1)
-    if s < 1 or field.shape != (s * h, s * w, k):
-        raise DimensionError(f"reassemble_hood: field {field.shape} is not an integer upsampling of hood {hood.shape}")
-
-    def per_source(a):
-        # [s*H, s*W, n] -> [H, W, s^2, n], the s x s block of each source pixel
-        n = a.shape[-1]
-        return a.reshape(h, s, w, s, n).transpose(0, 2, 1, 3, 4).reshape(h, w, s * s, n)
-
-    def to_image(a):
-        # inverse of per_source
-        n = a.shape[-1]
-        return a.reshape(h, w, s, s, n).transpose(0, 2, 1, 3, 4).reshape(s * h, s * w, n)
-
-    kern = per_source(field.data)
-    out = to_image(np.matmul(kern, hood.data))
-
-    def grad_fn(g):
-        gs = per_source(g)
-        dhood = np.matmul(np.swapaxes(kern, -1, -2), gs)
-        dfield = to_image(np.matmul(gs, np.swapaxes(hood.data, -1, -2)))
-        return dhood, dfield
-
-    return _emit("reassemble_hood", (hood, field), out, grad_fn)
+def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:
+    """[factor*n, n] linear-interpolation weights: output i samples source
+    coordinate (i + 0.5)/factor - 0.5 (half-pixel centres), clamped to the
+    edge pixels."""
+    src = np.clip((np.arange(n * factor) + 0.5) / factor - 0.5, 0, n - 1)
+    return np.maximum(0.0, 1.0 - np.abs(src[:, None] - np.arange(n))).astype(dtype)
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling of [H,W,C] by an integer factor (half-pixel centers)."""
+    """Bilinear upsampling of [H,W,C] by an integer factor: one matmul along
+    the rows, one along the columns, against fixed interpolation matrices."""
     if x.ndim != 3:
         raise DimensionError(f"upsample_bilinear expects [H,W,C], got {x.shape}")
-    h, w, _ = x.shape
-
-    def axis_coords(n: int):
-        src = (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
-        lo = np.floor(src)
-        t = src - lo
-        i0 = np.clip(lo, 0, n - 1).astype(np.intp)
-        i1 = np.clip(lo + 1, 0, n - 1).astype(np.intp)
-        return i0, i1, t.astype(x.data.dtype)
-
-    i0, i1, ti = axis_coords(h)
-    j0, j1, tj = axis_coords(w)
-    ti = ti[:, None, None]
-    tj = tj[None, :, None]
-    corners = ((i0, j0, (1 - ti) * (1 - tj)), (i0, j1, (1 - ti) * tj),
-               (i1, j0, ti * (1 - tj)), (i1, j1, ti * tj))
-    out = np.zeros((h * factor, w * factor, x.shape[2]), dtype=x.data.dtype)
-    for ii, jj, wgt in corners:
-        out += wgt * x.data[ii[:, None], jj[None, :], :]
-
-    def grad_fn(g):
-        dx = np.zeros_like(x.data)
-        for ii, jj, wgt in corners:
-            np.add.at(dx, (ii[:, None], jj[None, :]), wgt * g)
-        return (dx,)
-
-    return _emit("upsample_bilinear", (x,), out, grad_fn)
+    h, w, c = x.shape
+    dtype = x.data.dtype
+    rows = matmul(Tensor(_interp_matrix(h, factor, dtype)), reshape(x, (h, w * c)))
+    return matmul(Tensor(_interp_matrix(w, factor, dtype)), reshape(rows, (factor * h, w, c)))
 
 
 def pixel_shuffle(x: Tensor, factor: int, tail: int) -> Tensor:
@@ -708,12 +642,12 @@ _DTYPE_CODES = {"f32": 0, "f64": 1}
 _CODE_DTYPES = {0: np.float32, 1: np.float64}
 
 
-def tensor_to_bytes(t: Tensor) -> bytes:
-    head = _TSR1_MAGIC + struct.pack("<I", t.ndim)
-    head += b"".join(struct.pack("<Q", n) for n in t.shape)
-    head += struct.pack("<B", _DTYPE_CODES[t.dtype])
-    body = np.ascontiguousarray(t.data).astype(t.data.dtype.newbyteorder("<")).tobytes()
-    return head + body
+def tensor_record(t: Tensor) -> tuple[bytes, np.ndarray]:
+    """One TSR1 record as (header bytes, payload): the payload is a flat byte
+    view of the little-endian data, so a little-endian array is not copied."""
+    head = _TSR1_MAGIC + struct.pack(f"<I{t.ndim}QB", t.ndim, *t.shape, _DTYPE_CODES[t.dtype])
+    body = np.ascontiguousarray(t.data).astype(t.data.dtype.newbyteorder("<"), copy=False)
+    return head, body.reshape(-1).view(np.uint8)
 
 
 def tensor_from_bytes(buf) -> Tensor:
@@ -741,7 +675,7 @@ def tensor_from_bytes(buf) -> Tensor:
 
 
 def save_tensor(path, t: Tensor) -> None:
-    write_atomic(path, tensor_to_bytes(t))
+    write_atomic(path, tensor_record(t))
 
 
 def load_tensor(path) -> Tensor:

@@ -107,11 +107,24 @@ def cross_window_attention(x, wq, wk, wv, wo, sw, lepe=None):
     return np.concatenate(outs, axis=-1) @ wo
 
 
+def source_major(field, sigma):
+    """Image-layout kernel field [sigma*H, sigma*W, K] -> source-major
+    [H, W, sigma^2, K]: output pixel (i*sigma + di, j*sigma + dj) moves to
+    [i, j, di*sigma + dj]."""
+    sh, sw, k = field.shape
+    h, w = sh // sigma, sw // sigma
+    out = np.empty((h, w, sigma * sigma, k), dtype=field.dtype)
+    for ip in range(sh):
+        for jp in range(sw):
+            out[ip // sigma, jp // sigma, (ip % sigma) * sigma + jp % sigma] = field[ip, jp]
+    return out
+
+
 def reassemble_naive(x, field, sigma, k_up):
     """Five-nested-loop weighted reassembly.
 
-    x [H,W,C], field [sigma*H, sigma*W, k_up^2]; out-of-bounds neighbors
-    contribute zero.
+    x [H,W,C], source-major field [H, W, sigma^2, k_up^2]; out-of-bounds
+    neighbors contribute zero.
     """
     h, w, c = x.shape
     r = k_up // 2
@@ -119,12 +132,37 @@ def reassemble_naive(x, field, sigma, k_up):
     for ip in range(sigma * h):
         for jp in range(sigma * w):
             i, j = ip // sigma, jp // sigma
+            kernel = field[i, j, (ip % sigma) * sigma + jp % sigma]
             for n in range(-r, r + 1):
                 for m in range(-r, r + 1):
                     si, sj = i + n, j + m
                     if 0 <= si < h and 0 <= sj < w:
-                        wgt = field[ip, jp, (n + r) * k_up + (m + r)]
-                        out[ip, jp, :] += wgt * x[si, sj, :]
+                        out[ip, jp, :] += kernel[(n + r) * k_up + (m + r)] * x[si, sj, :]
+    return out
+
+
+def upsample_bilinear_naive(x, factor):
+    """Bilinear upsampling of x [H,W,C] as a sum over the four corners of each
+    output pixel's source cell (half-pixel centres, edges clamped)."""
+    h, w, _ = x.shape
+
+    def axis_coords(n):
+        src = (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
+        lo = np.floor(src)
+        t = src - lo
+        i0 = np.clip(lo, 0, n - 1).astype(np.intp)
+        i1 = np.clip(lo + 1, 0, n - 1).astype(np.intp)
+        return i0, i1, t.astype(x.dtype)
+
+    i0, i1, ti = axis_coords(h)
+    j0, j1, tj = axis_coords(w)
+    ti = ti[:, None, None]
+    tj = tj[None, :, None]
+    corners = ((i0, j0, (1 - ti) * (1 - tj)), (i0, j1, (1 - ti) * tj),
+               (i1, j0, ti * (1 - tj)), (i1, j1, ti * tj))
+    out = np.zeros((h * factor, w * factor, x.shape[2]), dtype=x.dtype)
+    for ii, jj, wgt in corners:
+        out += wgt * x[ii[:, None], jj[None, :], :]
     return out
 
 

@@ -32,6 +32,7 @@ from oracles import (
     hausdorff_bruteforce,
     per_head,
     reassemble_naive,
+    source_major,
 )
 
 
@@ -134,7 +135,7 @@ class TestCriterion4:
                 cfg = UpsampleConfig(sigma=sigma, k_up=k_up)
                 f = np.zeros((sigma * 5, sigma * 4, k_up * k_up))
                 f[:, :, (k_up // 2) * k_up + k_up // 2] = 1.0
-                got = reassemble(Tensor(x, dtype="f64"), Tensor(f, dtype="f64"), cfg).data
+                got = reassemble(Tensor(x, dtype="f64"), Tensor(source_major(f, sigma), dtype="f64"), cfg).data
                 want = np.repeat(np.repeat(x, sigma, axis=0), sigma, axis=1)
                 deltas_exact &= bool((got == want).all())
 

@@ -13,9 +13,9 @@ from cswin_seg.carafe import (
 from cswin_seg.errors import ConfigError, DimensionError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.initializers import seeded
-from cswin_seg.tensor import Tape, Tensor, backward, reassemble_hood, tsum
+from cswin_seg.tensor import Tape, Tensor, backward, tsum
 
-from oracles import reassemble_naive
+from oracles import reassemble_naive, source_major
 
 
 class TestConfig:
@@ -35,7 +35,7 @@ class TestPredictKernels:
         params = KernelPredictorParams.create(seeded(rng, "f64"), "up", 8, cfg)
         x = Tensor(rng.uniform(-1, 1, (4, 4, 8)), dtype="f64")
         field = predict_kernels(x, params, cfg)
-        assert field.shape == (8, 8, 25)
+        assert field.shape == (4, 4, 4, 25)
         np.testing.assert_allclose(field.data.sum(axis=-1), 1.0, atol=1e-6)
         assert (field.data >= 0).all()
 
@@ -73,14 +73,14 @@ class TestPredictKernels:
         logit += params.enc_b.data[(di * 2 + dj) * 25 : (di * 2 + dj) * 25 + 25]
         want = np.exp(logit - logit.max())
         want /= want.sum()
-        np.testing.assert_allclose(field.data[ip, jp], want, atol=1e-6)
+        np.testing.assert_allclose(field.data[i, j, di * 2 + dj], want, atol=1e-6)
 
 
 class TestReassemble:
     def _delta_field(self, h, w, sigma, k):
         f = np.zeros((sigma * h, sigma * w, k * k))
         f[:, :, (k // 2) * k + k // 2] = 1.0
-        return Tensor(f, dtype="f64")
+        return Tensor(source_major(f, sigma), dtype="f64")
 
     def test_delta_kernels_give_nearest_neighbor(self):
         rng = np.random.default_rng(3)
@@ -93,7 +93,7 @@ class TestReassemble:
     def test_uniform_kernels_on_constant_input(self):
         cfg = UpsampleConfig(sigma=2, k_up=3)
         x = Tensor(np.full((4, 4, 2), 3.0), dtype="f64")
-        f = Tensor(np.full((8, 8, 9), 1.0 / 9.0), dtype="f64")
+        f = Tensor(source_major(np.full((8, 8, 9), 1.0 / 9.0), 2), dtype="f64")
         out = reassemble(x, f, cfg)
         np.testing.assert_allclose(out.data[2:-2, 2:-2, :], 3.0, atol=1e-12)
 
@@ -103,7 +103,7 @@ class TestReassemble:
             cfg = UpsampleConfig(sigma=sigma, k_up=k)
             x = rng.uniform(-1, 1, (5, 3, 2))
             raw = rng.uniform(0, 1, (5 * sigma, 3 * sigma, k * k))
-            f = raw / raw.sum(axis=-1, keepdims=True)
+            f = source_major(raw / raw.sum(axis=-1, keepdims=True), sigma)
             got = reassemble(Tensor(x, dtype="f64"), Tensor(f, dtype="f64"), cfg)
             np.testing.assert_allclose(got.data, reassemble_naive(x, f, sigma, k), atol=1e-6, err_msg=f"sigma={sigma} k={k}")
 
@@ -133,12 +133,12 @@ class TestReassemble:
         cfg = UpsampleConfig(sigma=2, k_up=3)
         with pytest.raises(DimensionError):
             reassemble(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((4, 4, 9))), cfg)
-
-    def test_hood_field_shape_mismatch(self):
-        hood = Tensor(np.zeros((4, 3, 9, 2)))
-        for shape in ((8, 6, 4), (8, 9, 9), (9, 6, 9), (2, 3, 9), (8, 6)):
+        # x [4,3,2] needs [4,3,4,9]: wrong k^2, wrong extents, wrong sigma^2,
+        # the image layout [8,6,9], a missing axis
+        x = Tensor(np.zeros((4, 3, 2)))
+        for shape in ((4, 3, 4, 4), (4, 6, 4, 9), (5, 3, 4, 9), (2, 3, 4, 9), (4, 3, 9, 9), (8, 6, 9), (4, 3, 4)):
             with pytest.raises(DimensionError):
-                reassemble_hood(hood, Tensor(np.zeros(shape)))
+                reassemble(x, Tensor(np.zeros(shape)), cfg)
 
     def test_peak_memory_below_upsampled_hood(self):
         # taped forward and backward must never hold an array the size of
@@ -148,7 +148,7 @@ class TestReassemble:
         cfg = UpsampleConfig(sigma=sigma, k_up=k)
         x = Tensor(rng.uniform(-1, 1, (h, h, c)), dtype="f32", requires_grad=True)
         raw = rng.uniform(0, 1, (sigma * h, sigma * h, k * k))
-        field = Tensor(raw / raw.sum(axis=-1, keepdims=True), dtype="f32", requires_grad=True)
+        field = Tensor(source_major(raw / raw.sum(axis=-1, keepdims=True), sigma), dtype="f32", requires_grad=True)
         upsampled_hood_bytes = (sigma * h) ** 2 * k * k * c * 4
         tracemalloc.start()
         try:

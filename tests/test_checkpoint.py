@@ -13,7 +13,8 @@ from cswin_seg.checkpoint import (
     snapshot,
 )
 from cswin_seg.cli import main as cli_main
-from cswin_seg.data import synth_generate
+from cswin_seg import data
+from cswin_seg.data import synth_generate, write_pgm
 from cswin_seg.errors import FormatError
 from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import SGD, OptimizerConfig
@@ -120,6 +121,20 @@ class TestRoundtrip:
             tracemalloc.stop()
         size = os.path.getsize(p)
         assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
+
+
+    def test_save_peak_memory(self, tmp_path):
+        # records stream from the tensors' own arrays; no joined payload
+        p = tmp_path / "m.ckpt"
+        ckpt = snapshot(Model.create(tiny_config(), seed=0))
+        tracemalloc.start()
+        try:
+            save_checkpoint(p, ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(p)
+        assert peak <= 0.5 * size, f"peak {peak / size:.2f}x the file size"
 
 
 class TestNegativePaths:
@@ -268,3 +283,44 @@ class TestCrashSafeSave:
         assert sorted(os.listdir(out)) == ["report.csv"]
         assert cli_main(argv) == 0
         assert report.read_text().startswith("class,dsc,hd,hd95")
+
+    @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+    def test_failed_pgm_write_keeps_previous_file(self, tmp_path, monkeypatch, fault):
+        p = tmp_path / "mask.pgm"
+        write_pgm(p, np.zeros((4, 6), np.uint8))
+        before = p.read_bytes()
+        _inject(monkeypatch, fault, fail_at=2)  # the pixels, after the header
+        with pytest.raises(OSError):
+            write_pgm(p, np.ones((8, 8), np.uint8))
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["mask.pgm"]
+
+    @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+    def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path, monkeypatch, fault):
+        synth_generate(tmp_path, 2, 32, 3, seed=0)
+        manifest = tmp_path / "manifest.json"
+        before = manifest.read_bytes()
+        # only the manifest goes through the write path on the second run
+        monkeypatch.setattr(data, "write_ppm", lambda *a: None)
+        monkeypatch.setattr(data, "write_pgm", lambda *a: None)
+        _inject(monkeypatch, fault, fail_at=1)
+        with pytest.raises(OSError):
+            synth_generate(tmp_path, 3, 32, 3, seed=1)
+        monkeypatch.undo()
+        assert manifest.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["images", "manifest.json", "masks"]
+
+    def test_written_files_get_the_umask_mode(self, tmp_path):
+        # what a plain open() would create: 0o666 less the umask, not 0o600
+        old = os.umask(0o022)
+        try:
+            save_checkpoint(tmp_path / "m.ckpt", snapshot(Model.create(micro(), seed=1)))
+            save_tensor(tmp_path / "t.tsr", Tensor(np.ones(3)))
+            write_pgm(tmp_path / "mask.pgm", np.zeros((2, 2), np.uint8))
+            synth_generate(tmp_path / "d", 2, 32, 3, seed=0)
+            micro().save(tmp_path / "cfg.json")
+        finally:
+            os.umask(old)
+        for p in ("m.ckpt", "t.tsr", "mask.pgm", "d/manifest.json", "d/images/s0000.ppm", "cfg.json"):
+            assert (tmp_path / p).stat().st_mode & 0o777 == 0o644, p

@@ -90,7 +90,7 @@ class TestCount:
 
 class TestGradcheckCli:
     def test_exit_zero_on_pass(self, capsys):
-        assert main(["gradcheck", "--dtype", "f64"]) == 0
+        assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "gradient checks passed" in out
         assert "FAIL" not in out

@@ -78,7 +78,7 @@ class TestConfig:
             OptimizerConfig(lr_schedule="cosine")
 
     def test_poly_schedule(self):
-        cfg = OptimizerConfig(lr=0.05, lr_schedule="poly", poly_power=0.9, max_iterations=100)
+        cfg = OptimizerConfig(lr=0.05, lr_schedule="poly", max_iterations=100)
         assert cfg.lr_at(0) == pytest.approx(0.05)
         assert cfg.lr_at(50) == pytest.approx(0.05 * 0.5**0.9)
         assert cfg.lr_at(99) < cfg.lr_at(50) < cfg.lr_at(0)

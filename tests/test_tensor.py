@@ -8,7 +8,7 @@ from cswin_seg.errors import ContractError, DimensionError, FormatError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.tensor import Tape, Tensor, backward
 
-from oracles import conv2d_naive, depthwise_conv2d_naive
+from oracles import conv2d_naive, depthwise_conv2d_naive, upsample_bilinear_naive
 
 
 def randt(rng, shape, dtype="f64", requires_grad=False):
@@ -276,6 +276,17 @@ class TestUpsample:
         out = T.upsample_bilinear(x, 2)
         np.testing.assert_allclose(out.data, 1.25, atol=1e-6)
 
+    def test_bilinear_matches_four_corner_oracle(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1, 1, (5, 3, 2))
+        for dtype, tol in (("f64", 1e-12), ("f32", 1e-6)):
+            xt = Tensor(x, dtype=dtype)
+            for factor in (1, 2, 3, 4):
+                got = T.upsample_bilinear(xt, factor)
+                assert got.shape == (5 * factor, 3 * factor, 2) and got.dtype == dtype
+                want = upsample_bilinear_naive(xt.data, factor)
+                np.testing.assert_allclose(got.data, want, rtol=0, atol=tol, err_msg=f"{dtype} factor {factor}")
+
     def test_bilinear_gradient(self):
         rng = np.random.default_rng(20)
         x = randt(rng, (3, 4, 2))
@@ -387,7 +398,7 @@ class TestTSR1:
 
     def test_scalar_rank_zero(self):
         t = Tensor(np.asarray(3.5))
-        back = T.tensor_from_bytes(T.tensor_to_bytes(t))
+        back = T.tensor_from_bytes(b"".join(T.tensor_record(t)))
         assert back.shape == ()
         assert back.item() == 3.5
 
@@ -396,6 +407,6 @@ class TestTSR1:
             T.tensor_from_bytes(b"JUNK0000" + b"\x00" * 16)
 
     def test_truncation(self):
-        buf = T.tensor_to_bytes(Tensor(np.ones((4, 4))))
+        buf = b"".join(T.tensor_record(Tensor(np.ones((4, 4)))))
         with pytest.raises(FormatError):
             T.tensor_from_bytes(buf[:-3])
