@@ -133,6 +133,9 @@ class TestReassemble:
         cfg = UpsampleConfig(sigma=2, k_up=3)
         with pytest.raises(DimensionError):
             reassemble(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((4, 4, 9))), cfg)
+
+    def test_hood_field_shape_mismatch(self):
+        cfg = UpsampleConfig(sigma=2, k_up=3)
         # x [4,3,2] needs [4,3,4,9]: wrong k^2, wrong extents, wrong sigma^2,
         # the image layout [8,6,9], a missing axis
         x = Tensor(np.zeros((4, 3, 2)))
