@@ -4,11 +4,11 @@ The feature map is cut into non-overlapping stripes of width ``sw``; half
 of the attention heads attend inside horizontal stripes (sw x W tokens),
 the other half inside vertical stripes (H x sw tokens).  Each group is one
 batched attention: a single projection gives the queries, keys and values
-of all its heads, and its heads and stripes share the leading axis of one
-scores matmul, one softmax and one value matmul.  The vertical group runs
-on the transposed map, where its stripes are rows.  Head outputs are
-concatenated channel-wise (horizontal heads first) and fused by a square
-output projection, so the block keeps its (H, W, C) shape.
+of all its heads; heads and stripes share the leading axis of one fused
+``tensor.attention`` entry (scores, softmax and value product).  The
+vertical group runs on the transposed map, where its stripes are rows.
+Head outputs are concatenated channel-wise (horizontal heads first) and
+fused by a square output projection, so the block keeps its (H, W, C) shape.
 
 Optionally each head adds a locally-enhanced positional term: a 3x3
 depthwise convolution of its value map, applied inside the stripe.  With
@@ -28,6 +28,7 @@ from .initializers import ParamSource, ones, trunc_normal, zeros
 from .tensor import (
     Tensor,
     add,
+    attention,
     concat,
     depthwise_conv2d,
     gelu,
@@ -36,7 +37,6 @@ from .tensor import (
     matmul,
     permute,
     reshape,
-    softmax,
     split,
 )
 
@@ -72,12 +72,10 @@ def _stripe_group(plane: Tensor, wqkv: Tensor, lepe: Optional[Tensor], sw: int) 
     p, q, c = plane.shape
     n, d = wqkv.shape[1] // 3, wqkv.shape[3]
     m = p // sw
-    qkv = matmul(reshape(plane, (p * q, c)), wqkv)  # [1, 3n, P*Q, d]
-    qs, ks, vs = split(reshape(qkv, (3, n * m, sw * q, d)), [1, 1, 1], axis=0)
-    scores = matmul(qs, permute(ks, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
-    y = reshape(matmul(softmax(scores, axis=-1), vs), (n, p, q, d))
+    qkv = reshape(matmul(reshape(plane, (p * q, c)), wqkv), (3, n * m, sw * q, d))  # q|k|v, head x stripe, token
+    y = reshape(attention(qkv), (n, p, q, d))
     if lepe is not None:
-        v = reshape(vs, (n, m, sw, q, d))  # each stripe in its own geometry
+        v = reshape(split(qkv, [2, 1], axis=0)[1], (n, m, sw, q, d))  # each stripe in its own geometry
         y = add(y, reshape(depthwise_conv2d(v, lepe, padding=lepe.shape[2] // 2), (n, p, q, d)))
     return y
 

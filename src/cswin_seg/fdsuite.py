@@ -187,6 +187,14 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     w = _weighted(rng, (2, 3, 4, 3, 2))
     run("depthwise_conv2d_batched", lambda: w(T.depthwise_conv2d(xdb, wdb, padding=1)), [("x", xdb), ("w", wdb)])
 
+    qkv = _probe(rng, (3, 2, 5, 3))
+    w = _weighted(rng, (2, 5, 3))
+    run("attention", lambda: w(T.attention(qkv)), [("qkv", qkv)])
+
+    xcr, wcr, bcr = _probe(rng, (5, 6, 2)), _probe(rng, (2, 3, 2, 3)), _probe(rng, (3,))
+    w = _weighted(rng, (3, 3, 3))
+    run("conv2d_rect", lambda: w(T.conv2d(xcr, wcr, bcr, stride=2, padding=1)), [("x", xcr), ("w", wcr), ("b", bcr)])
+
     if full:
         results.append(end_to_end_check(h=h, tol=tol, seed=seed))
     return results

@@ -11,8 +11,8 @@ bookkeeping.
 
 Design notes:
   * gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-  * conv2d is an explicit patch gather (im2col) feeding one ``linear``; a
-    1x1, stride-1, unpadded kernel skips the gather.
+  * conv2d is one primitive: a patch gather (im2col) feeding one matmul.
+  * attention is one primitive over a stacked [3, B, L, d] projection.
   * Upsamplers are compositions, not primitives: bilinear is two ``matmul``s
     against fixed interpolation matrices, and CARAFE (``carafe.py``) is
     ``patches``, a batched ``matmul`` and ``pixel_shuffle``.
@@ -21,7 +21,8 @@ Design notes:
   * The tape keeps only what a gradient reads.  Each entry holds its inputs,
     its output and a closure over the arrays its gradient needs; gelu keeps
     only its input and recomputes tanh, patches keeps only the padded shape,
-    and linear adds its bias in place so the pre-bias product is never kept.
+    linear and conv2d add their bias in place so no pre-bias product is kept,
+    conv2d keeps its im2col, and attention keeps only the L x L probabilities.
     ``reshape`` returns a view (all tensor data is C-contiguous).
     ``backward`` pops each entry once its gradient has run, so activations
     are freed as the reverse walk passes them instead of when it returns.
@@ -29,8 +30,9 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -173,25 +175,25 @@ class Tape:
     def active() -> Optional["Tape"]:
         return Tape._stack[-1] if Tape._stack else None
 
-    def _wants(self, inputs: Iterable[Tensor]) -> bool:
-        # recorded outputs are marked requires_grad, so this also tracks them
-        return any(t.requires_grad for t in inputs)
-
-    def record(self, inputs: tuple, out: Tensor, grad_fn: Callable, opname: str) -> None:
-        self.entries.append((inputs, out, grad_fn, opname))
-        self._produced.add(id(out))
-        out.requires_grad = True
-
 
 def _emit(opname: str, inputs: tuple, out_data: np.ndarray, grad_fn: Callable) -> Tensor:
     """Wrap a primitive's result, recording it if a tape wants gradients.
 
+    ``out_data`` must be a C-contiguous array of the inputs' dtype: the output
+    skips ``Tensor.__init__``'s coercions, only numpy scalars become 0-d arrays.
     ``grad_fn(g)`` must return one gradient array (or None) per input.
     """
-    out = Tensor(out_data)
-    tape = Tape.active()
-    if tape is not None and tape._wants(inputs):
-        tape.record(inputs, out, grad_fn, opname)
+    if type(out_data) is not np.ndarray:
+        out_data = np.asarray(out_data)
+    out = object.__new__(Tensor)
+    out.data = out_data
+    out.grad = None
+    # recorded outputs are marked requires_grad, so this also tracks them
+    out.requires_grad = bool(Tape._stack) and any(t.requires_grad for t in inputs)
+    if out.requires_grad:
+        tape = Tape._stack[-1]
+        tape.entries.append((inputs, out, grad_fn, opname))
+        tape._produced.add(id(out))
     return out
 
 
@@ -288,8 +290,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}") from e
 
-    def grad_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    def grad_fn(g):  # constants (requires_grad false) get no gradient
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        return ga, _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
 
     return _emit("mul", (a, b), out, grad_fn)
 
@@ -302,8 +305,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"div: incompatible shapes {a.shape} and {b.shape}") from e
 
     def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _emit("div", (a, b), out, grad_fn)
@@ -340,9 +343,7 @@ def tsum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
     return _emit("sum", (x,), out, grad_fn)
@@ -353,7 +354,7 @@ def tsum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape)) != x.size:
+    if math.prod(shape) != x.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
 
     def grad_fn(g):
@@ -399,12 +400,9 @@ def split(x: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
     parts = np.split(x.data, offsets, axis=axis)
     outs = []
     for i, p in enumerate(parts):
-        def grad_fn(g, i=i, p_shape=p.shape):
+        def grad_fn(g, i=i):
             full = np.zeros_like(x.data)
-            sl = [slice(None)] * x.ndim
-            start = 0 if i == 0 else int(offsets[i - 1])
-            sl[axis] = slice(start, start + p_shape[axis])
-            full[tuple(sl)] = g
+            np.split(full, offsets, axis=axis)[i][...] = g  # the chunk is a view of full
             return (full,)
 
         outs.append(_emit("split", (x,), np.ascontiguousarray(p), grad_fn))
@@ -426,29 +424,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: batch axes differ, {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
 
-    def grad_fn(g):
-        if a.ndim == 2 and b.ndim > 2:
+    def grad_fn(g):  # constants (requires_grad false) get no gradient
+        ga = gb = None
+        if a.requires_grad and a.ndim == 2 and b.ndim > 2:
             # one contraction over b's batch axes and the shared output axis
             axes = list(range(b.ndim - 2)) + [-1]
             ga = np.tensordot(g, b.data, axes=(axes, axes))
-        else:
+        elif a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.ndim == 2 and a.ndim > 2:
-            a2 = a.data.reshape(-1, a.shape[-1])
-            g2 = g.reshape(-1, g.shape[-1])
-            gb = a2.T @ g2
-        else:
+        if b.requires_grad and b.ndim == 2 and a.ndim > 2:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return ga, gb
 
     return _emit("matmul", (a, b), out, grad_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x [..., Cin] @ w [Cin, Cout] + b [Cout] as one primitive: the bias is
     added in place, so the tape keeps no pre-bias product."""
-    if b is None:
-        return matmul(x, w)
     _check_dtypes("linear", x, w, b)
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear needs [..., Cin] @ [Cin, Cout] + [Cout], got {x.shape} @ {w.shape} + {b.shape}")
@@ -479,6 +474,35 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _emit("softmax", (x,), y, grad_fn)
+
+
+def attention(qkv: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v of a stacked [3, B, L, d] projection -> [B, L, d].
+
+    Scores are scaled and normalized in place: the entry keeps q, k, v (views
+    of the input) and the probabilities; its gradient is one array like qkv."""
+    if qkv.ndim != 4 or qkv.shape[0] != 3 or qkv.shape[2] == 0:
+        raise DimensionError(f"attention expects a stacked [3, B, L, d] projection, got {qkv.shape}")
+    q, k, v = qkv.data
+    scale = qkv.data.dtype.type(1.0 / np.sqrt(qkv.shape[3]))
+    p = np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)  # softmax over keys, max-shifted
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        gqkv = np.empty_like(qkv.data)
+        gs = np.matmul(g, np.swapaxes(v, -1, -2))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        np.matmul(gs, k, out=gqkv[0])
+        gqkv[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
+        np.matmul(np.swapaxes(p, -1, -2), g, out=gqkv[2])
+        return (gqkv,)
+
+    return _emit("attention", (qkv,), np.matmul(p, v), grad_fn)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -532,6 +556,29 @@ def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, Callable]:
+    """im2col [..., H,W,C] -> [..., H',W',kh*kw,C], plus its adjoint: a scatter-add
+    back into [..., H,W,C] that keeps only the padded shape, not the input."""
+    *lead, h, w, c = xd.shape
+    ho = _conv_out_extent(h, kh, stride, padding)
+    wo = _conv_out_extent(w, kw, stride, padding)
+    span = lambda k, n: slice(k, k + stride * n, stride)  # tap i*kw + j starts at row i, column j
+    taps = [(..., span(i, ho), span(j, wo), slice(None)) for i in range(kh) for j in range(kw)]
+    xp = np.pad(xd, [(0, 0)] * len(lead) + [(padding, padding), (padding, padding), (0, 0)])
+    out = np.empty((*lead, ho, wo, kh * kw, c), dtype=xd.dtype)
+    for p, tap in enumerate(taps):
+        out[..., p, :] = xp[tap]
+    xp_shape = xp.shape
+
+    def scatter(g):
+        gp = np.zeros(xp_shape, dtype=g.dtype)
+        for p, tap in enumerate(taps):
+            gp[tap] += g[..., p, :]
+        return np.ascontiguousarray(gp[..., padding : padding + h, padding : padding + w, :])
+
+    return out, scatter
+
+
 def patches(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0) -> Tensor:
     """Gather k x k neighborhoods: [..., H,W,C] -> [..., H',W',kh*kw,C] (im2col).
 
@@ -540,26 +587,8 @@ def patches(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0) -> T
     """
     if x.ndim < 3:
         raise DimensionError(f"patches expects [..., H,W,C], got {x.shape}")
-    *lead, h, w, c = x.shape
-    ho = _conv_out_extent(h, kh, stride, padding)
-    wo = _conv_out_extent(w, kw, stride, padding)
-    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(padding, padding), (padding, padding), (0, 0)])
-    out = np.empty((*lead, ho, wo, kh * kw, c), dtype=x.data.dtype)
-    for p in range(kh * kw):
-        ki, kj = divmod(p, kw)
-        out[..., p, :] = xp[..., ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :]
-    xp_shape, dtype = xp.shape, xp.dtype  # backward needs the shape only
-
-    def grad_fn(g):
-        gp = np.zeros(xp_shape, dtype=dtype)
-        for p in range(kh * kw):
-            ki, kj = divmod(p, kw)
-            gp[..., ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :] += g[..., p, :]
-        if padding:
-            gp = gp[..., padding : padding + h, padding : padding + w, :]
-        return (np.ascontiguousarray(gp),)
-
-    return _emit("patches", (x,), out, grad_fn)
+    out, scatter = _im2col(x.data, kh, kw, stride, padding)
+    return _emit("patches", (x,), out, lambda g: (scatter(g),))
 
 
 def conv2d(
@@ -569,20 +598,35 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout] -> [H',W',Cout]."""
+    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout] -> [H',W',Cout].
+
+    One primitive, an im2col matmul with the bias added in place; the entry
+    keeps the im2col (a 1x1 stride-1 unpadded kernel gathers none)."""
     if w.ndim != 4:
         raise DimensionError(f"conv2d weight must be [kh,kw,Cin,Cout], got {w.shape}")
     kh, kw, cin, cout = w.shape
     if x.ndim != 3 or x.shape[2] != cin:
         raise DimensionError(f"conv2d: input {x.shape} does not match weight {w.shape}")
-    if (kh, kw, stride, padding) == (1, 1, 1, 0):
-        cols, ho, wo = x, x.shape[0], x.shape[1]  # every pixel is its own patch
-    else:
-        cols = patches(x, kh, kw, stride=stride, padding=padding)
-        ho, wo = cols.shape[0], cols.shape[1]
-    flat = reshape(cols, (ho * wo, kh * kw * cin))
-    out = linear(flat, reshape(w, (kh * kw * cin, cout)), bias)
-    return reshape(out, (ho, wo, cout))
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(f"conv2d: bias {bias.shape} does not match weight {w.shape}")
+    inputs = (x, w) if bias is None else (x, w, bias)
+    _check_dtypes("conv2d", *inputs)
+    direct = (kh, kw, stride, padding) == (1, 1, 1, 0)  # every pixel is its own patch
+    cols, scatter = (x.data, lambda gc: gc.reshape(x.shape)) if direct else _im2col(x.data, kh, kw, stride, padding)
+    ho, wo = cols.shape[0], cols.shape[1]
+    cols = cols.reshape(ho * wo, kh * kw * cin)
+    w2 = w.data.reshape(kh * kw * cin, cout)
+    out = np.matmul(cols, w2)
+    if bias is not None:
+        out += bias.data
+
+    def grad_fn(g):
+        g2 = g.reshape(ho * wo, cout)
+        gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin))
+        gb = () if bias is None else (g2.sum(axis=0),)
+        return (gx, (cols.T @ g2).reshape(w.shape)) + gb
+
+    return _emit("conv2d", inputs, out.reshape(ho, wo, cout), grad_fn)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

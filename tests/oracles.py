@@ -59,6 +59,23 @@ def dense_attention(tokens, wq, wk, wv):
     return softmax_rows(scores) @ v
 
 
+def attention_naive(qkv):
+    """softmax(q k^T / sqrt(d)) v of a stacked [3, B, L, d] array, one
+    output element at a time."""
+    _, nb, n, d = qkv.shape
+    out = np.zeros((nb, n, d))
+    for b in range(nb):
+        q, k, v = qkv[0, b], qkv[1, b], qkv[2, b]
+        for i in range(n):
+            scores = [sum(q[i, c] * k[j, c] for c in range(d)) / np.sqrt(d) for j in range(n)]
+            top = max(scores)
+            weights = [np.exp(s - top) for s in scores]
+            total = sum(weights)
+            for c in range(d):
+                out[b, i, c] = sum(wj * v[j, c] for j, wj in enumerate(weights)) / total
+    return out
+
+
 def per_head(grouped, kinds):
     """Per-head views of a group-major block weight [2, kinds*N/2, ...].
 

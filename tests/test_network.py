@@ -251,6 +251,45 @@ class TestGradientsReachEverything:
         assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _taped_step(cfg):
+    """One taped Dice+CE forward: the tape and the bytes tracemalloc holds
+    after it."""
+    model = Model.create(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    s = cfg.input_size
+    img = Tensor(rng.uniform(0, 1, (s, s, 3)).astype(np.float32))
+    labels = rng.integers(0, cfg.num_classes, (s, s))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            combined_loss(model.forward(img), labels, LossConfig())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return tape, held
+
+
+class TestTapeBudget:
+    def test_entries_hold_contiguous_f32_arrays(self):
+        # _emit wraps op results without Tensor.__init__'s coercions, so every
+        # primitive must hand it a C-contiguous array of its inputs' dtype
+        tape, _ = _taped_step(tiny_config())
+        for _, out, _, op in tape.entries:
+            assert type(out.data) is np.ndarray, op
+            assert out.data.dtype == np.float32 and out.data.flags["C_CONTIGUOUS"], op
+
+    def test_entry_counts(self):
+        # one attention entry per stripe group and one conv2d entry per conv
+        assert len(_taped_step(tiny_config())[0].entries) <= 380
+        assert len(_taped_step(default_config())[0].entries) <= 850
+
+    def test_default_forward_memory(self):
+        # the tape keeps one L x L probability array per stripe group, and no
+        # scores, scaled scores or key transposes
+        _, held = _taped_step(default_config())
+        assert held <= 300 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+
+
 class TestCounting:
     @pytest.mark.parametrize(
         "cfg_fn",

@@ -8,7 +8,7 @@ from cswin_seg.errors import ContractError, DimensionError, FormatError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.tensor import Tape, Tensor, backward
 
-from oracles import conv2d_naive, depthwise_conv2d_naive, upsample_bilinear_naive
+from oracles import attention_naive, conv2d_naive, depthwise_conv2d_naive, upsample_bilinear_naive
 
 
 def randt(rng, shape, dtype="f64", requires_grad=False):
@@ -160,6 +160,12 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             T.conv2d(Tensor.zeros((2, 2, 1)), Tensor.zeros((5, 5, 1, 1)))
 
+    def test_bias_shape_mismatch(self):
+        x, w = Tensor.zeros((4, 4, 2)), Tensor.zeros((3, 3, 2, 5))
+        for bad in [(4,), (1, 5), (5, 1)]:
+            with pytest.raises(DimensionError, match="bias"):
+                T.conv2d(x, w, Tensor.zeros(bad), padding=1)
+
     def test_gradient(self):
         rng = np.random.default_rng(11)
         x = randt(rng, (5, 5, 2))
@@ -169,6 +175,34 @@ class TestConv2d:
             lambda: T.tsum(T.conv2d(x, w, b, stride=2, padding=1)),
             [("x", x), ("w", w), ("b", b)],
         )
+
+
+class TestAttention:
+    def test_matches_naive_loop(self):
+        rng = np.random.default_rng(12)
+        for shape in [(3, 2, 5, 4), (3, 1, 7, 3)]:
+            qkv = rng.uniform(-2, 2, shape)
+            np.testing.assert_allclose(T.attention(Tensor(qkv)).data, attention_naive(qkv), rtol=0, atol=1e-12)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(13)
+        qkv = randt(rng, (3, 2, 4, 3))
+        w = Tensor(rng.uniform(-1, 1, (2, 4, 3)))
+        check_gradients(lambda: T.tsum(T.mul(T.attention(qkv), w)), [("qkv", qkv)])
+
+    def test_keeps_only_probabilities_and_gives_one_gradient(self):
+        qkv = Tensor(np.random.default_rng(14).uniform(-1, 1, (3, 2, 5, 4)), requires_grad=True)
+        with Tape() as tape:
+            y = T.attention(qkv)
+        (inputs, out, grad_fn, op), = tape.entries
+        assert op == "attention" and inputs == (qkv,) and out is y and y.shape == (2, 5, 4)
+        (g,) = grad_fn(np.ones(y.shape))
+        assert g.shape == qkv.shape
+
+    def test_rejects_unstacked_input(self):
+        for bad in [(2, 1, 4, 3), (3, 4, 3), (3, 1, 0, 3)]:
+            with pytest.raises(DimensionError, match="attention"):
+                T.attention(Tensor.zeros(bad))
 
 
 class TestDepthwiseConv2d:
@@ -364,6 +398,21 @@ class TestBackward:
                 loss = T.tsum(T.div(x, Tensor([0.0, 1.0])))
         with pytest.raises(Exception, match="div"):
             backward(loss, tape)
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(15)
+        const, x = Tensor(rng.uniform(-1, 1, (4, 3))), randt(rng, (3, 2), requires_grad=True)
+        with Tape() as tape:
+            T.matmul(const, x)
+            T.mul(const, Tensor(np.full((4, 3), 2.0), requires_grad=True))
+            T.div(Tensor(np.ones((4, 3)), requires_grad=True), const)
+        g = np.ones((4, 3))
+        (_, _, mm_fn, _), (_, _, mul_fn, _), (_, _, div_fn, _) = tape.entries
+        ga, gb = mm_fn(np.ones((4, 2)))
+        assert ga is None
+        np.testing.assert_array_equal(gb, const.data.T @ np.ones((4, 2)))
+        assert mul_fn(g)[0] is None and mul_fn(g)[1] is not None
+        assert div_fn(g)[0] is not None and div_fn(g)[1] is None
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
