@@ -35,7 +35,7 @@ from .losses import LossConfig
 from .network import Model, NetworkConfig, default_config, tiny_config
 from .optim import OptimizerConfig
 from .tensor import Tensor
-from .train import evaluate_model, losses_to_csv, metrics_to_csv, train
+from .train import evaluate_model, losses_to_csv, metrics_to_csv, predict_mask, train
 
 _ERRORS = (ConfigError, ContractError, DataError, DimensionError, FormatError, NumericError, OSError)
 
@@ -117,7 +117,7 @@ def cmd_predict(args) -> int:
     model, _ = restore_model(args.checkpoint)
     image_u8 = read_ppm(args.image)
     image = image_u8.astype(np.float32) / 255.0
-    mask = model.forward(Tensor(image)).data.argmax(axis=-1).astype(np.uint8)
+    mask = predict_mask(model, image).astype(np.uint8)
     write_pgm(args.out, mask)
     print(f"mask written to {args.out}")
     if args.overlay:
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_gradcheck)
 
-    s = sub.add_parser("count", help="analytic parameter / FLOP counts vs reference")
+    s = sub.add_parser("count", help="parameter / FLOP counts vs reference")
     s.add_argument("--config", default="default")
     s.add_argument("--strict", action="store_true", help="nonzero exit outside calibration tolerance")
     s.set_defaults(fn=cmd_count)

@@ -1,11 +1,11 @@
-"""Analytic parameter and FLOP counting.
+"""Parameter and analytic FLOP counting.
 
-Counts are exact functions of the configuration: parameters mirror the
-shapes the model's constructors declare (a test sums the declared tensors
-of a built model to prove it), FLOPs count one multiply-accumulate as one
-FLOP, the convention the published complexity figures for this family of
-models use.  Only matrix products and convolutions are counted;
-normalization, softmax and activations are ignored.
+Parameters are summed over the shapes the model's constructors declare, so
+the architecture is declared once.  FLOPs are exact functions of the
+configuration that count one multiply-accumulate as one FLOP, the
+convention the published complexity figures for this family of models use.
+Only matrix products and convolutions are counted; normalization, softmax
+and activations are ignored.
 
 Reference targets for the default 224 configuration: 23.57M parameters,
 4.72G FLOPs.
@@ -13,65 +13,31 @@ Reference targets for the default 224 configuration: 23.57M parameters,
 
 from __future__ import annotations
 
-from .network import NetworkConfig
+import numpy as np
+
+from .initializers import ParamSource
+from .network import Model, NetworkConfig
 
 REFERENCE_PARAMS = 23.57e6
 REFERENCE_FLOPS = 4.72e9
 CALIBRATION_TOLERANCE = 0.20
 
 
-def _block_params(dim: int, heads: int, mlp_ratio: int, lepe: bool) -> int:
-    qkv = 3 * dim * dim  # one wqkv [2, 3N/2, C, C/N], no bias
-    out_proj = dim * dim
-    norms = 4 * dim
-    hidden = mlp_ratio * dim
-    mlp = dim * hidden + hidden + hidden * dim + dim
-    lepe_k = 9 * dim if lepe else 0  # lepe [2, N/2, 3, 3, C/N]: 3x3 depthwise per value channel
-    return qkv + out_proj + norms + mlp + lepe_k
-
-
-def _conv_params(k: int, cin: int, cout: int) -> int:
-    return k * k * cin * cout + cout
-
-
-def _carafe_params(channels: int, sigma: int, cfg: NetworkConfig) -> int:
-    kernels = sigma * sigma * cfg.carafe_k_up**2
-    return _conv_params(1, channels, cfg.carafe_c_mid) + _conv_params(cfg.carafe_k_encoder, cfg.carafe_c_mid, kernels)
-
-
-def _upsampler_params(channels: int, sigma: int, cfg: NetworkConfig) -> int:
-    if cfg.upsampler == "carafe":
-        return _carafe_params(channels, sigma, cfg)
-    if cfg.upsampler == "transposed_conv":
-        return sigma * sigma * channels * channels + channels
-    return 0  # bilinear
+# the leading word of each declared parameter name -> its breakdown part
+_PARTS = {
+    "embed": "embed", "enc": "encoder_blocks", "dec": "decoder_blocks", "down": "downsample",
+    "up": "upsample", "halve": "channel_halve", "fuse": "skip_fuse", "head": "head",
+}
 
 
 def params_breakdown(cfg: NetworkConfig) -> dict[str, int]:
-    c = cfg.embed_dim
-    parts = {
-        "embed": _conv_params(7, cfg.in_channels, c),
-        "encoder_blocks": 0,
-        "decoder_blocks": 0,
-        "downsample": 0,
-        "upsample": 0,
-        "channel_halve": 0,
-        "skip_fuse": 0,
-        "head": _upsampler_params(c, 4, cfg) + _conv_params(1, c, cfg.num_classes),
-    }
-    for i in range(4):
-        blk = _block_params(cfg.stage_dim(i), cfg.heads[i], cfg.mlp_ratio, cfg.lepe_enabled)
-        parts["encoder_blocks"] += cfg.depths[i] * blk
-        parts["decoder_blocks"] += cfg.depths[i] * blk
-    for i in range(3):
-        parts["downsample"] += _conv_params(3, cfg.stage_dim(i), cfg.stage_dim(i + 1))
-    for d in range(3):
-        src = cfg.stage_dim(3 - d)
-        dst = src // 2
-        parts["upsample"] += _upsampler_params(src, 2, cfg)
-        parts["channel_halve"] += _conv_params(1, src, dst)
-        if cfg.skip_enabled(d):
-            parts["skip_fuse"] += _conv_params(1, 2 * dst, dst)
+    """Parameters per part, summed over the shapes the model's constructors
+    declare.  The source hands out unwritten ``np.empty`` arrays, so nothing
+    is drawn and no page is touched."""
+    model = Model(cfg, ParamSource(lambda name, shape, init: np.empty(shape, np.float32)))
+    parts = dict.fromkeys(_PARTS.values(), 0)
+    for name, t in model.named_parameters():
+        parts[_PARTS[name.split(".")[0].rstrip("0123456789")]] += t.size
     return parts
 
 

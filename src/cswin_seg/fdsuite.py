@@ -1,7 +1,7 @@
 """The finite-difference check suite behind `gradcheck` and the acceptance
 run: every differentiable primitive, the full transformer block, the
 content-aware upsampler, the losses, and (optionally) the tiny end-to-end
-network with sampled coordinates.
+network, probing its largest-gradient coordinates.
 """
 
 from __future__ import annotations
@@ -200,12 +200,12 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     return results
 
 
-def end_to_end_check(*, h: float = 1e-5, tol: float = 1e-4, seed: int = 0, coords_per_tensor: int = 2, tensor_stride: int = 3) -> CheckResult:
+def end_to_end_check(*, h: float = 1e-5, tol: float = 1e-4, seed: int = 0) -> CheckResult:
     """Finite differences through the whole tiny network in f64.
 
-    Every parameter tensor receives analytic gradients; FD probing samples
-    `coords_per_tensor` coordinates from every `tensor_stride`-th tensor
-    (plus the embedding and classifier) to keep the runtime in minutes.
+    Every parameter tensor receives analytic gradients; FD probing takes the
+    two largest coordinates of every third tensor (plus the embedding and
+    classifier) to keep the runtime in minutes.
     """
     rng = np.random.default_rng(seed)
     model = Model.create(tiny_config(), seed=seed, dtype="f64")
@@ -217,12 +217,12 @@ def end_to_end_check(*, h: float = 1e-5, tol: float = 1e-4, seed: int = 0, coord
         return combined_loss(model.forward(image), labels, loss_cfg)
 
     named = model.named_parameters()
-    picked = [("image", image)] + named[::tensor_stride]
+    picked = [("image", image)] + named[::3]
     for name, t in named:
         if name in ("embed.w", "head.cls.w") and all(n != name for n, _ in picked):
             picked.append((name, t))
     try:
-        report = check_gradients(fn, picked, h=h, tol=tol, max_coords=coords_per_tensor, select="largest", rng=rng)
+        report = check_gradients(fn, picked, h=h, tol=tol, max_coords=2)
         return CheckResult("end_to_end_tiny", max(err for _, err in report), True)
     except AssertionError as e:
         return CheckResult(f"end_to_end_tiny [{e}]", float("nan"), False)

@@ -50,18 +50,15 @@ def check_gradients(
     h: float = 1e-5,
     tol: float = 1e-4,
     max_coords: Optional[int] = None,
-    select: str = "random",
-    rng: Optional[np.random.Generator] = None,
 ) -> list[tuple[str, float]]:
     """Compare analytic and numeric gradients for every named input.
 
     Returns (name, max relative error) per input and raises AssertionError on
-    the first input exceeding tol.  When max_coords is set, that many flat
-    coordinates per tensor are probed instead of all, either sampled
-    (select="random") or the largest-magnitude analytic entries
-    (select="largest" — coordinates with near-zero gradients sit below what
-    central differences can resolve in f64, so deep compositions probe the
-    coordinates that carry signal).
+    the first input exceeding tol.  When max_coords is set, only the
+    max_coords largest-magnitude analytic entries of each tensor are probed:
+    coordinates with near-zero gradients sit below what central differences
+    can resolve in f64, so deep compositions probe the coordinates that
+    carry signal.
     """
     for _, t in inputs:
         t.requires_grad = True
@@ -70,16 +67,13 @@ def check_gradients(
         loss = fn()
     backward(loss, tape)
 
-    rng = rng or np.random.default_rng(0)
     report = []
     for name, t in inputs:
         assert t.grad is not None, f"{name}: no gradient reached this tensor"
         if max_coords is None or t.size <= max_coords:
             idx = list(range(t.size))
-        elif select == "largest":
-            idx = np.argsort(np.abs(t.grad.reshape(-1)))[-max_coords:].tolist()
         else:
-            idx = sorted(rng.choice(t.size, size=max_coords, replace=False).tolist())
+            idx = np.argsort(np.abs(t.grad.reshape(-1)))[-max_coords:].tolist()
         numeric = numeric_grad(fn, t, idx, h=h)
         analytic = t.grad.reshape(-1)[idx].astype(np.float64)
         err = relative_error(analytic, numeric)

@@ -55,7 +55,7 @@ def dice_loss(logits: Tensor, labels: np.ndarray, smooth: float = 1e-5) -> Tenso
     inter = tsum(probs * Tensor(target), axis=0)  # [K]
     denom = tsum(probs, axis=0) + Tensor(target.sum(axis=0))
     score = (2.0 * inter + smooth) / (denom + smooth)
-    return 1.0 - tsum(score) * (1.0 / k)
+    return tsum(score) * (-1.0 / k) + 1.0
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -43,14 +43,6 @@ NUM_STAGES = 4
 
 
 @dataclass
-class StageSpec:
-    depth: int
-    sw: int
-    heads: int
-    dim: int
-
-
-@dataclass
 class NetworkConfig:
     input_size: int = 224
     in_channels: int = 3
@@ -100,13 +92,6 @@ class NetworkConfig:
 
     def stage_resolution(self, i: int) -> int:
         return self.input_size // (4 << i)
-
-    @property
-    def stages(self) -> list[StageSpec]:
-        return [
-            StageSpec(self.depths[i], self.stripe_widths[i], self.heads[i], self.stage_dim(i))
-            for i in range(NUM_STAGES)
-        ]
 
     def attention_config(self, i: int) -> AttentionConfig:
         return AttentionConfig(
@@ -260,10 +245,6 @@ class Model:
 
     def num_parameters(self) -> int:
         return sum(t.size for t in self.parameters())
-
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.zero_grad()
 
     # -- forward ----------------------------------------------------------------
 

@@ -11,7 +11,8 @@ bookkeeping.
 
 Design notes:
   * gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-  * conv2d is one primitive: a patch gather (im2col) feeding one matmul.
+  * conv2d is one primitive: a patch gather (im2col) feeding one matmul;
+    depthwise_conv2d is one primitive over the same gather.
   * attention is one primitive over a stacked [3, B, L, d] projection.
   * Upsamplers are compositions, not primitives: bilinear is two ``matmul``s
     against fixed interpolation matrices, and CARAFE (``carafe.py``) is
@@ -22,7 +23,8 @@ Design notes:
     its output and a closure over the arrays its gradient needs; gelu keeps
     only its input and recomputes tanh, patches keeps only the padded shape,
     linear and conv2d add their bias in place so no pre-bias product is kept,
-    conv2d keeps its im2col, and attention keeps only the L x L probabilities.
+    conv2d and depthwise_conv2d keep their im2col, and attention keeps only
+    the L x L probabilities.
     ``reshape`` returns a view (all tensor data is C-contiguous).
     ``backward`` pops each entry once its gradient has run, so activations
     are freed as the reverse walk passes them instead of when it returns.
@@ -64,12 +66,12 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape: Sequence[int], dtype: str = "f32", requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=DTYPES[dtype]), requires_grad=requires_grad)
+    def zeros(shape: Sequence[int], dtype: str = "f32") -> "Tensor":
+        return Tensor(np.zeros(shape, dtype=DTYPES[dtype]))
 
     @staticmethod
-    def ones(shape: Sequence[int], dtype: str = "f32", requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=DTYPES[dtype]), requires_grad=requires_grad)
+    def ones(shape: Sequence[int], dtype: str = "f32") -> "Tensor":
+        return Tensor(np.ones(shape, dtype=DTYPES[dtype]))
 
     # -- introspection --------------------------------------------------------
 
@@ -110,15 +112,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, self._coerce(other))
 
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return sub(self._coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, self._coerce(other))
 
@@ -127,21 +120,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(self._coerce(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.data.dtype)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
-    def permute(self, order: Sequence[int]) -> "Tensor":
-        return permute(self, order)
 
 
 class Tape:
@@ -270,19 +248,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit("add", (a, b), out, grad_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("sub", a, b)
-    try:
-        out = a.data - b.data
-    except ValueError as e:
-        raise DimensionError(f"sub: incompatible shapes {a.shape} and {b.shape}") from e
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _emit("sub", (a, b), out, grad_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("mul", a, b)
     try:
@@ -338,12 +303,12 @@ def gelu(x: Tensor) -> Tensor:
 # -- reductions ----------------------------------------------------------------
 
 
-def tsum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
     """Sum over one axis, or over everything when axis is None."""
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
 
     def grad_fn(g):
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
     return _emit("sum", (x,), out, grad_fn)
@@ -591,14 +556,8 @@ def patches(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0) -> T
     return _emit("patches", (x,), out, lambda g: (scatter(g),))
 
 
-def conv2d(
-    x: Tensor,
-    w: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout] -> [H',W',Cout].
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout], bias [Cout] -> [H',W',Cout].
 
     One primitive, an im2col matmul with the bias added in place; the entry
     keeps the im2col (a 1x1 stride-1 unpadded kernel gathers none)."""
@@ -607,42 +566,52 @@ def conv2d(
     kh, kw, cin, cout = w.shape
     if x.ndim != 3 or x.shape[2] != cin:
         raise DimensionError(f"conv2d: input {x.shape} does not match weight {w.shape}")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise DimensionError(f"conv2d: bias {bias.shape} does not match weight {w.shape}")
-    inputs = (x, w) if bias is None else (x, w, bias)
-    _check_dtypes("conv2d", *inputs)
+    _check_dtypes("conv2d", x, w, bias)
     direct = (kh, kw, stride, padding) == (1, 1, 1, 0)  # every pixel is its own patch
     cols, scatter = (x.data, lambda gc: gc.reshape(x.shape)) if direct else _im2col(x.data, kh, kw, stride, padding)
     ho, wo = cols.shape[0], cols.shape[1]
     cols = cols.reshape(ho * wo, kh * kw * cin)
     w2 = w.data.reshape(kh * kw * cin, cout)
     out = np.matmul(cols, w2)
-    if bias is not None:
-        out += bias.data
+    out += bias.data
 
     def grad_fn(g):
         g2 = g.reshape(ho * wo, cout)
         gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin))
-        gb = () if bias is None else (g2.sum(axis=0),)
-        return (gx, (cols.T @ g2).reshape(w.shape)) + gb
+        return gx, (cols.T @ g2).reshape(w.shape), g2.sum(axis=0)
 
-    return _emit("conv2d", inputs, out.reshape(ho, wo, cout), grad_fn)
+    return _emit("conv2d", (x, w, bias), out.reshape(ho, wo, cout), grad_fn)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Per-channel convolution: x [..., H,W,C], w [..., kh,kw,C] -> [..., H',W',C].
 
     Leading axes are batch axes; those of w broadcast against those of x, so
-    batch elements may share one kernel or each have their own.
+    batch elements may share one kernel or each have their own.  One
+    primitive: the entry keeps the im2col and a view of w, not their product.
     """
     if w.ndim < 3:
         raise DimensionError(f"depthwise weight must be [..., kh,kw,C], got {w.shape}")
     kh, kw, c = w.shape[-3:]
     if x.ndim < 3 or x.shape[-1] != c:
         raise DimensionError(f"depthwise_conv2d: input {x.shape} does not match weight {w.shape}")
-    cols = patches(x, kh, kw, stride=stride, padding=padding)  # [..., H',W',k*k,C]
-    prod = mul(cols, reshape(w, w.shape[:-3] + (1, 1, kh * kw, c)))
-    return tsum(prod, axis=-2)
+    _check_dtypes("depthwise_conv2d", x, w)
+    cols, scatter = _im2col(x.data, kh, kw, stride, padding)  # [..., H',W',k*k,C]
+    wk = w.data.reshape(w.shape[:-3] + (1, 1, kh * kw, c))
+    try:
+        out = (cols * wk).sum(axis=-2)
+    except ValueError as e:
+        raise DimensionError(f"depthwise_conv2d: batch axes of {x.shape} and {w.shape} do not broadcast") from e
+
+    def grad_fn(g):  # g broadcast over the kernel slots is the product's gradient
+        gp = np.broadcast_to(np.expand_dims(g, -2), g.shape[:-1] + (kh * kw, c))
+        gx = scatter(_unbroadcast(gp * wk, cols.shape)) if x.requires_grad else None
+        gw = _unbroadcast(gp * cols, wk.shape).reshape(w.shape) if w.requires_grad else None
+        return gx, gw
+
+    return _emit("depthwise_conv2d", (x, w), out, grad_fn)
 
 
 def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:

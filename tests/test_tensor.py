@@ -135,13 +135,13 @@ class TestConv2d:
         rng = np.random.default_rng(9)
         x = randt(rng, (5, 5, 3))
         w = Tensor(np.eye(3).reshape(1, 1, 3, 3).astype(np.float64))
-        np.testing.assert_allclose(T.conv2d(x, w).data, x.data)
+        np.testing.assert_allclose(T.conv2d(x, w, Tensor.zeros((3,), "f64")).data, x.data)
 
     def test_patch_embedding_shape(self):
         # 7x7 kernel, stride 4, padding 3 quarters the resolution
         x = Tensor.zeros((224, 224, 3))
         w = Tensor.zeros((7, 7, 3, 8))
-        assert T.conv2d(x, w, stride=4, padding=3).shape == (56, 56, 8)
+        assert T.conv2d(x, w, Tensor.zeros((8,)), stride=4, padding=3).shape == (56, 56, 8)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(10)
@@ -158,7 +158,7 @@ class TestConv2d:
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
-            T.conv2d(Tensor.zeros((2, 2, 1)), Tensor.zeros((5, 5, 1, 1)))
+            T.conv2d(Tensor.zeros((2, 2, 1)), Tensor.zeros((5, 5, 1, 1)), Tensor.zeros((1,)))
 
     def test_bias_shape_mismatch(self):
         x, w = Tensor.zeros((4, 4, 2)), Tensor.zeros((3, 3, 2, 5))
@@ -248,6 +248,25 @@ class TestDepthwiseConv2d:
                 for i, j in np.ndindex(2, 3):
                     want = depthwise_conv2d_naive(x[i, j], kernels[i, j], stride=stride, padding=padding)
                     np.testing.assert_allclose(got[i, j], want, atol=1e-12)
+
+    def test_one_entry_with_the_composition_gradients(self):
+        # one tape entry; its gradients equal those of patches -> mul -> sum bitwise
+        rng = np.random.default_rng(16)
+        x, w = randt(rng, (2, 5, 4, 3), "f32", True), randt(rng, (2, 3, 3, 3), "f32", True)
+        g = rng.uniform(-1, 1, (2, 5, 4, 3)).astype(np.float32)
+        with Tape() as tape:
+            y = T.depthwise_conv2d(x, w, padding=1)
+        (inputs, out, grad_fn, op), = tape.entries
+        assert op == "depthwise_conv2d" and inputs == (x, w) and out is y and y.shape == x.shape
+        gx, gw = grad_fn(g)
+        with Tape() as tape:
+            prod = T.mul(T.patches(x, 3, 3, padding=1), T.reshape(w, (2, 1, 1, 9, 3)))
+            want = T.tsum(prod, axis=-2)
+            loss = T.tsum(T.mul(want, Tensor(g)))  # seeds want's gradient with g
+        backward(loss, tape)
+        np.testing.assert_array_equal(y.data, want.data)
+        np.testing.assert_array_equal(gx, x.grad)
+        np.testing.assert_array_equal(gw, w.grad)
 
 
 class TestStructural:
@@ -428,7 +447,7 @@ class TestDeterminism:
         def run(rng):
             x = Tensor(rng.standard_normal((8, 8, 3)), dtype="f32")
             w = Tensor(rng.standard_normal((3, 3, 3, 4)), dtype="f32")
-            return T.conv2d(T.gelu(x), w, padding=1).data
+            return T.conv2d(T.gelu(x), w, Tensor.zeros((4,)), padding=1).data
 
         assert (run(rng1) == run(rng2)).all()
 
