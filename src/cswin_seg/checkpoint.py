@@ -41,14 +41,13 @@ class Checkpoint:
     rng_state: dict | None = None
 
 
-def snapshot(model: Model, optimizer: SGD | None = None, iteration: int = 0, rng: np.random.Generator | None = None) -> Checkpoint:
+def snapshot(model: Model, optimizer: SGD | None = None, iteration: int = 0, rng_state: dict | None = None) -> Checkpoint:
+    """Copy the model's parameters and the optimizer's momenta; ``rng_state``
+    is a ``bit_generator.state`` dict, such as the one ``train`` returns."""
     params = {name: Tensor(t.data.copy()) for name, t in model.named_parameters()}
     momenta = {}
     if optimizer is not None:
         momenta = {name: Tensor(v.copy()) for name, v in optimizer.state().items()}
-    rng_state = None
-    if rng is not None:
-        rng_state = json.loads(json.dumps(rng.bit_generator.state))
     return Checkpoint(config=model.config, params=params, momenta=momenta, iteration=iteration, rng_state=rng_state)
 
 

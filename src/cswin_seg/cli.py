@@ -2,23 +2,21 @@
 
 Subcommands: synth (dataset generation), train, eval, predict, gradcheck
 (finite-difference suite), count (parameters/FLOPs vs the reference
-figures), bench (stripe vs dense attention cost).  Every subcommand is a
-pure function of its flags plus seeds; exit code 0 means success, 1 a
-domain error (bad config, bad file, numeric failure), 2 a usage error.
+figures).  Every subcommand is a pure function of its flags plus seeds;
+exit code 0 means success, 1 a domain error (bad config, bad file,
+numeric failure), 2 a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import complexity
 from .atomic import write_atomic
-from .attention import AttentionConfig, CSWinBlockParams, cswin_attention
 from .checkpoint import restore_model, save_checkpoint, snapshot
 from .data import class_color, load_dataset, read_ppm, synth_generate, write_pgm, write_ppm
 from .errors import (
@@ -30,11 +28,9 @@ from .errors import (
     NumericError,
 )
 from .fdsuite import run_suite
-from .initializers import seeded
 from .losses import LossConfig
 from .network import Model, NetworkConfig, default_config, tiny_config
 from .optim import OptimizerConfig
-from .tensor import Tensor
 from .train import evaluate_model, losses_to_csv, metrics_to_csv, predict_mask, train
 
 _ERRORS = (ConfigError, ContractError, DataError, DimensionError, FormatError, NumericError, OSError)
@@ -93,8 +89,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "loss.csv", [losses_to_csv(result.losses).encode()])
-    ckpt = snapshot(model, optimizer=optimizer, iteration=args.iters)
-    ckpt.rng_state = result.rng_state
+    ckpt = snapshot(model, optimizer=optimizer, iteration=args.iters, rng_state=result.rng_state)
     save_checkpoint(out / "checkpoint.ckpt", ckpt)
     if result.metrics:
         write_atomic(out / "val_metrics.csv", [metrics_to_csv(result.metrics[-1][1]).encode()])
@@ -156,52 +151,6 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _parse_bench_shape(text: str) -> tuple[int, int, int, int, int]:
-    try:
-        h, w, c, n, sw = (int(p) for p in text.split("x"))
-        return h, w, c, n, sw
-    except ValueError as e:
-        raise ConfigError(f"bench shape must be HxWxCxHEADSxSW, got {text!r}") from e
-
-
-def _time_attention(x, params, config, repeats=3) -> float:
-    best = float("inf")
-    for _ in range(repeats + 1):  # first pass warms caches, then keep the best
-        t0 = time.perf_counter()
-        cswin_attention(x, params, config)
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
-
-
-def cmd_bench(args) -> int:
-    shapes = [_parse_bench_shape(s) for s in args.shapes] if args.shapes else [
-        (16, 16, 32, 4, 2), (32, 32, 32, 4, 2), (32, 32, 32, 4, 4), (32, 32, 64, 8, 8), (64, 64, 16, 2, 4),
-    ]
-    rng = np.random.default_rng(args.seed)
-    rows = ["h,w,c,heads,sw,stripe_flops,dense_flops,stripe_ms,dense_ms"]
-    print(f"{'shape':>20} {'stripe GF':>10} {'dense GF':>10} {'stripe ms':>10} {'dense ms':>10}")
-    for h, w, c, n, sw in shapes:
-        if h % sw or w % sw or c % n or n % 2:
-            raise ConfigError(f"invalid bench shape {h}x{w}x{c}x{n}x{sw}")
-        proj = complexity.attention_projection_macs(h, w, c)
-        stripe_fl = proj + complexity.stripe_attention_macs(h, w, c, sw)
-        dense_fl = proj + complexity.dense_attention_macs(h, w, c)
-        x = Tensor(rng.uniform(-1, 1, (h, w, c)).astype(np.float32))
-        cfg_stripe = AttentionConfig(heads=n, sw=sw, channels=c)
-        params = CSWinBlockParams.create(seeded(rng), "blk", cfg_stripe)
-        stripe_ms = _time_attention(x, params, cfg_stripe)
-        # dense baseline: the degenerate full-map stripe (sw = H = W needs a
-        # square map; bench shapes keep H == W)
-        cfg_dense = AttentionConfig(heads=n, sw=h, channels=c)
-        dense_ms = _time_attention(x, params, cfg_dense) if h == w else float("nan")
-        rows.append(f"{h},{w},{c},{n},{sw},{stripe_fl},{dense_fl},{stripe_ms:.3f},{dense_ms:.3f}")
-        print(f"{f'{h}x{w}x{c} n={n} sw={sw}':>20} {stripe_fl / 1e9:>10.4f} {dense_fl / 1e9:>10.4f} {stripe_ms:>10.2f} {dense_ms:>10.2f}")
-    if args.out:
-        write_atomic(args.out, [("\n".join(rows) + "\n").encode()])
-        print(f"csv written to {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cswin-seg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -257,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default="default")
     s.add_argument("--strict", action="store_true", help="nonzero exit outside calibration tolerance")
     s.set_defaults(fn=cmd_count)
-
-    s = sub.add_parser("bench", help="stripe vs dense attention, analytic FLOPs and wall time")
-    s.add_argument("--shapes", nargs="*", help="HxWxCxHEADSxSW entries")
-    s.add_argument("--out", default=None)
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(fn=cmd_bench)
     return p
 
 

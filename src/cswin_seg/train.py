@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import SegmentationSample
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .losses import LossConfig, cross_entropy_loss, dice_loss
 from .metrics import MetricsReport, evaluate_masks
 from .network import Model
@@ -115,8 +115,6 @@ def train(
                 if ce is not None:
                     loss = loss_cfg.beta * ce if loss is None else loss + loss_cfg.beta * ce
                 scaled = loss * inv_batch
-            if not np.isfinite(scaled.item()):
-                raise NumericError(f"non-finite loss at iteration {iteration}")
             backward(scaled, tape)
             tot_l += loss.item() * inv_batch
             dice_l += dice.item() * inv_batch if dice is not None else 0.0

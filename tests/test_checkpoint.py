@@ -35,7 +35,7 @@ class TestRoundtrip:
     def test_bitwise_equal_tensors(self, tmp_path):
         model = Model.create(micro(), seed=3)
         rng = np.random.default_rng(5)
-        ckpt = snapshot(model, iteration=17, rng=rng)
+        ckpt = snapshot(model, iteration=17, rng_state=rng.bit_generator.state)
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, ckpt)
         back = load_checkpoint(p)

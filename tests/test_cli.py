@@ -1,7 +1,11 @@
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cswin_seg.cli import main
+from cswin_seg.cli import build_parser, main
 from cswin_seg.data import read_pgm, read_ppm
 from cswin_seg.network import NetworkConfig
 
@@ -101,18 +105,10 @@ class TestGradcheckCli:
         assert exc.value.code == 2
 
 
-class TestBench:
-    def test_csv_and_flops_ordering(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--shapes", "8x8x8x2x2", "16x16x8x2x4", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "h,w,c,heads,sw,stripe_flops,dense_flops,stripe_ms,dense_ms"
-        for line in lines[1:]:
-            parts = line.split(",")
-            h, w, sw = int(parts[0]), int(parts[1]), int(parts[4])
-            stripe_fl, dense_fl = int(parts[5]), int(parts[6])
-            if sw < min(h, w):
-                assert stripe_fl < dense_fl
-
-    def test_invalid_shape(self, capsys):
-        assert main(["bench", "--shapes", "7x7x8x2x2"]) == 1
+class TestReadmeUsage:
+    def test_usage_block_lists_every_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        usage = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        documented = set(re.findall(r"^cswin-seg (\S+)", usage, re.M))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert documented == set(sub.choices)

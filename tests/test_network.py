@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from cswin_seg.network import (
     tiny_config,
     transposed_conv_upsample,
 )
-from cswin_seg.tensor import Tape, Tensor, backward, tsum
+from cswin_seg.tensor import Tape, Tensor, backward, tsum, upsample_bilinear
 
 
 def micro_config(**overrides):
@@ -322,6 +323,14 @@ class TestCounting:
         small = default_config()
         big = default_config(input_size=448)
         assert complexity.flops_breakdown(big)["conv"] == 4 * complexity.flops_breakdown(small)["conv"]
+
+    @pytest.mark.parametrize("n, sigma, channels", [(5, 2, 3), (7, 4, 2)])
+    def test_bilinear_macs_match_taped_matmuls(self, n, sigma, channels):
+        x = Tensor(np.ones((n, n, channels), np.float32), requires_grad=True)
+        with Tape() as tape:
+            upsample_bilinear(x, sigma)
+        runtime = sum(math.prod(out.shape) * ins[0].shape[-1] for ins, out, _fn, op in tape.entries if op == "matmul")
+        assert runtime == complexity._upsampler_macs(channels, sigma, n, tiny_config(upsampler="bilinear"))[1]
 
     def test_attention_flops_follow_stripe_formula(self):
         # closed form vs explicit enumeration over stripes and heads

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cswin_seg.data import generate_sample
-from cswin_seg.errors import ConfigError
+from cswin_seg.errors import ConfigError, NumericError
 from cswin_seg.losses import LossConfig
-from cswin_seg.network import Model, NetworkConfig
+from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import OptimizerConfig
 from cswin_seg.train import TRANSFORMS, apply_transform, augment, losses_to_csv, train
 
@@ -120,3 +120,10 @@ class TestTrainLoop:
         )
         assert [it for it, _ in result.metrics] == [1, 3]
         assert 0.0 <= result.metrics[0][1].mean_dsc <= 1.0
+
+    def test_non_finite_loss_names_the_producing_op(self):
+        model = Model.create(tiny_config(), seed=0)
+        dict(model.named_parameters())["enc.s2.b1.mlp.w1"].data[0, 0] = np.nan
+        cfg = OptimizerConfig(lr=0.01, batch_size=1, max_iterations=1, seed=0)
+        with pytest.raises(NumericError, match="op 'linear'"):
+            train(model, micro_dataset(1, size=64, classes=4), cfg, LossConfig(), augment_enabled=False)
