@@ -87,7 +87,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(data[head_start : head_start + head_len])
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: corrupt header JSON: {e}") from e
     if header.get("version") != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}, expected {VERSION}")

@@ -28,11 +28,26 @@ Design notes:
     ``reshape`` returns a view (all tensor data is C-contiguous).
     ``backward`` pops each entry once its gradient has run, so activations
     are freed as the reverse walk passes them instead of when it returns.
+  * gelu, layer_norm and softmax compute in place: forward and backward each
+    allocate their output and at most two scratch arrays, and write only into
+    those, never into the upstream gradient (it may be a view shared with
+    another op's gradient).  They keep the order of operations of the plain
+    expressions, so results are bitwise equal to them.
+  * Freed memory stays in the process.  glibc returns blocks above its mmap
+    threshold to the kernel when they are freed and trims the top of the heap,
+    so each taped step would fault its activations in again, page by page.
+    On glibc, importing this module sets M_MMAP_THRESHOLD and then
+    M_TRIM_THRESHOLD to 1 GiB for the whole process (the trim threshold alone
+    switches off glibc's dynamic mmap threshold, which faults far more).  The
+    process's RSS then does not shrink after a peak.  Elsewhere (macOS,
+    Windows, musl) nothing is changed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +58,27 @@ from .errors import ContractError, DimensionError, FormatError, NumericError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+_KEPT_BYTES = 1 << 30
+
+
+def _keep_freed_memory() -> bool:
+    """Pin glibc's mmap and trim thresholds at 1 GiB; True if both were set."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):  # a glibc-only name
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the trim threshold only once the mmap one holds: alone, it faults far more
+    return mallopt(_M_MMAP_THRESHOLD, _KEPT_BYTES) == 1 and mallopt(_M_TRIM_THRESHOLD, _KEPT_BYTES) == 1
+
+
+_FREED_MEMORY_KEPT = _keep_freed_memory()
 
 
 class Tensor:
@@ -282,20 +318,40 @@ _GELU_A = 0.044715
 
 
 def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
-    return np.tanh(_GELU_C * (xd + _GELU_A * xd * xd * xd))  # float32 ** takes numpy's slow pow loop
+    """tanh(C * (x + A*x*x*x)) in one new array."""
+    t = np.multiply(xd, _GELU_A)  # float32 ** takes numpy's slow pow loop
+    t *= xd
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation.  Backward recomputes tanh from the input
     rather than keeping it."""
     xd = x.data
-    out = 0.5 * xd * (1.0 + _gelu_tanh(xd))
+    out = np.multiply(xd, 0.5)
+    t = _gelu_tanh(xd)
+    t += 1.0
+    out *= t  # (0.5*x) * (1 + t)
 
     def grad_fn(g):
         t = _gelu_tanh(xd)
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        return (g * dx,)
+        s = np.multiply(t, t)
+        np.subtract(1.0, s, out=s)
+        dx = np.multiply(xd, 0.5)
+        dx *= s  # (0.5*x) * (1 - t*t)
+        np.multiply(xd, 3.0 * _GELU_A, out=s)
+        s *= xd
+        s += 1.0
+        s *= _GELU_C  # du = C * (1 + 3A*x*x)
+        dx *= s
+        t += 1.0
+        t *= 0.5
+        dx += t  # 0.5*(1 + t) + (0.5*x)*(1 - t*t)*du
+        dx *= g
+        return (dx,)
 
     return _emit("gelu", (x,), out, grad_fn)
 
@@ -430,13 +486,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis` (max subtraction)."""
     if x.shape[axis] == 0:
         raise DimensionError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gx = np.multiply(g, y)
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
 
     return _emit("softmax", (x,), y, grad_fn)
 
@@ -494,18 +553,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
     _check_dtypes("layer_norm", x, gamma, beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(gamma.data, xhat, out=out)
+    out += beta.data
 
     def grad_fn(g):
-        dgamma = (g * xhat).reshape(-1, c).sum(axis=0)
+        s = np.multiply(g, xhat)
+        dgamma = s.reshape(-1, c).sum(axis=0)
         dbeta = g.reshape(-1, c).sum(axis=0)
-        dxhat = g * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = np.multiply(g, gamma.data)  # dxhat
+        np.multiply(dx, xhat, out=s)
+        np.multiply(xhat, s.mean(axis=-1, keepdims=True), out=s)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= s
+        dx *= inv  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         return dx, dgamma, dbeta
 
     return _emit("layer_norm", (x, gamma, beta), out, grad_fn)
@@ -679,9 +743,8 @@ def tensor_from_bytes(buf) -> Tensor:
     if code not in _CODE_DTYPES:
         raise FormatError(f"TSR1: unknown dtype code {code}")
     dt = np.dtype(_CODE_DTYPES[code]).newbyteorder("<")
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    need = count * dt.itemsize
-    if len(buf) - off < need:
+    count = math.prod(shape)  # Python ints: np.prod would wrap at 2**63
+    if len(buf) - off < count * dt.itemsize:
         raise FormatError("TSR1 tensor truncated in payload")
     data = np.frombuffer(buf, dtype=dt, count=count, offset=off).reshape(shape)
     return Tensor(data.astype(_CODE_DTYPES[code]))

@@ -50,6 +50,35 @@ def softmax_rows(a):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def gelu_naive(x):
+    """tanh-approximation GELU and its derivative, as plain array expressions
+    (each step a new array); returns (y, dy/dx)."""
+    c, a = 0.7978845608028654, 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    du = c * (1.0 + 3.0 * a * x * x)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def softmax_naive(x, g, axis):
+    """Max-shifted softmax along `axis` and the vector-Jacobian product with
+    g, as plain array expressions; returns (y, dx)."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def layer_norm_naive(x, gamma, beta, g, eps=1e-5):
+    """Last-axis layer norm and its vector-Jacobian product with g, as plain
+    array expressions; returns (y, dx, dgamma, dbeta)."""
+    c = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gamma
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return gamma * xhat + beta, dx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+
+
 def dense_attention(tokens, wq, wk, wv):
     """Plain single-head attention over a token list [L,C] with C x d weights."""
     q = tokens @ wq

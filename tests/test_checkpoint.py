@@ -155,6 +155,15 @@ class TestNegativePaths:
         with pytest.raises(FormatError):
             load_checkpoint(p)
 
+    def test_header_not_utf8(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=0)))
+        data = bytearray(p.read_bytes())
+        data[len(checkpoint.MAGIC) + 8 + 3] = 0xFF  # byte 3 of the header JSON
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="corrupt header"):
+            load_checkpoint(p)
+
     def test_version_1_rejected(self, tmp_path, monkeypatch):
         # version 1 stored per-head Q/K/V tensors under other names
         p = tmp_path / "v1.ckpt"

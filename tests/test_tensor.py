@@ -1,3 +1,4 @@
+import struct
 import weakref
 
 import numpy as np
@@ -8,7 +9,15 @@ from cswin_seg.errors import ContractError, DimensionError, FormatError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.tensor import Tape, Tensor, backward
 
-from oracles import attention_naive, conv2d_naive, depthwise_conv2d_naive, upsample_bilinear_naive
+from oracles import (
+    attention_naive,
+    conv2d_naive,
+    depthwise_conv2d_naive,
+    gelu_naive,
+    layer_norm_naive,
+    softmax_naive,
+    upsample_bilinear_naive,
+)
 
 
 def randt(rng, shape, dtype="f64", requires_grad=False):
@@ -128,6 +137,73 @@ class TestLayerNorm:
             lambda: T.tsum(T.layer_norm(x, gamma, beta) * w),
             [("x", x), ("gamma", gamma), ("beta", beta)],
         )
+
+
+def _entry_and_gradients(fn, inputs, g):
+    """Run one primitive on a tape and its recorded gradient on g; returns
+    (output array, gradient arrays)."""
+    with Tape() as tape:
+        out = fn(*inputs)
+    (_, _, grad_fn, _), = tape.entries
+    return out.data, grad_fn(g)
+
+
+class TestInPlaceElementwise:
+    """gelu, softmax and layer_norm compute in place; they must stay bitwise
+    equal to the plain expressions and write into nothing they were given:
+    not the input, not the kept output, not the upstream gradient g (passed
+    here as a strided view into a larger array, as a shared gradient may be)."""
+
+    @staticmethod
+    def _inputs(dtype, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.uniform(-4, 4, shape), dtype=dtype, requires_grad=True)
+        base = rng.uniform(-1, 1, shape[:-1] + (2 * shape[-1],)).astype(x.data.dtype)
+        return rng, x, base[..., ::2]
+
+    @staticmethod
+    def _assert_bitwise(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gelu(self, dtype):
+        _, x, g = self._inputs(dtype, (5, 9, 37), 30)
+        x0, g0 = x.data.copy(), g.copy()
+        y, (dx,) = _entry_and_gradients(T.gelu, (x,), g)
+        y0 = y.copy()
+        want_y, dydx = gelu_naive(x0)
+        self._assert_bitwise(y, want_y)
+        self._assert_bitwise(dx, g0 * dydx)
+        for got, before in ((x.data, x0), (g, g0), (y, y0)):
+            self._assert_bitwise(got, before)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    def test_softmax(self, dtype, axis):
+        _, x, g = self._inputs(dtype, (6, 11, 37), 31)
+        x0, g0 = x.data.copy(), g.copy()
+        y, (dx,) = _entry_and_gradients(lambda t: T.softmax(t, axis=axis), (x,), g)
+        y0 = y.copy()
+        want_y, want_dx = softmax_naive(x0, g0, axis)
+        self._assert_bitwise(y, want_y)
+        self._assert_bitwise(dx, want_dx)
+        for got, before in ((x.data, x0), (g, g0), (y, y0)):
+            self._assert_bitwise(got, before)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_layer_norm(self, dtype):
+        rng, x, g = self._inputs(dtype, (4, 13, 37), 32)
+        gamma = Tensor(rng.uniform(0.5, 1.5, (37,)), dtype=dtype, requires_grad=True)
+        beta = Tensor(rng.uniform(-1, 1, (37,)), dtype=dtype, requires_grad=True)
+        x0, g0 = x.data.copy(), g.copy()
+        y, (dx, dgamma, dbeta) = _entry_and_gradients(T.layer_norm, (x, gamma, beta), g)
+        y0 = y.copy()
+        want = layer_norm_naive(x0, gamma.data, beta.data, g0)
+        for got, w in zip((y, dx, dgamma, dbeta), want):
+            self._assert_bitwise(got, w)
+        for got, before in ((x.data, x0), (g, g0), (y, y0)):
+            self._assert_bitwise(got, before)
 
 
 class TestConv2d:
@@ -478,3 +554,10 @@ class TestTSR1:
         buf = b"".join(T.tensor_record(Tensor(np.ones((4, 4)))))
         with pytest.raises(FormatError):
             T.tensor_from_bytes(buf[:-3])
+
+    def test_element_count_beyond_int64(self):
+        # 2**32 x 2**32 elements wrap to 0 in an int64 product; the header
+        # must be rejected as a format error, not reach reshape
+        buf = b"TSR1\x00\x00\x00\x00" + struct.pack("<I2QB", 2, 2**32, 2**32, 0) + b"\x00" * 16
+        with pytest.raises(FormatError, match="truncated"):
+            T.tensor_from_bytes(buf)
