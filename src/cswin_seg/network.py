@@ -16,7 +16,7 @@ fewer than three are configured.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -60,6 +60,15 @@ class NetworkConfig:
     carafe_c_mid: int = 64
 
     def __post_init__(self):
+        for f in fields(self):  # each value has its default's type; a bool is no int
+            v, want = getattr(self, f.name), type(f.default)
+            if want is tuple:
+                ok = type(v) in (list, tuple) and all(type(n) is int for n in v)
+            else:
+                ok = type(v) is want
+            if not ok:
+                kind = "a list of ints" if want is tuple else want.__name__
+                raise ConfigError(f"config {f.name} must be {kind}, got {v!r:.40}")
         self.depths = tuple(self.depths)
         self.stripe_widths = tuple(self.stripe_widths)
         self.heads = tuple(self.heads)
@@ -116,6 +125,8 @@ class NetworkConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         known = set(NetworkConfig.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:

@@ -641,9 +641,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     out = np.matmul(cols, w2)
     out += bias.data
 
-    def grad_fn(g):
+    def grad_fn(g):  # a constant input (the image) gets no gradient
         g2 = g.reshape(ho * wo, cout)
-        gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin))
+        gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin)) if x.requires_grad else None
         return gx, (cols.T @ g2).reshape(w.shape), g2.sum(axis=0)
 
     return _emit("conv2d", (x, w, bias), out.reshape(ho, wo, cout), grad_fn)
@@ -717,6 +717,7 @@ def pixel_shuffle(x: Tensor, factor: int, tail: int) -> Tensor:
 _TSR1_MAGIC = b"TSR1\x00\x00\x00\x00"
 _DTYPE_CODES = {"f32": 0, "f64": 1}
 _CODE_DTYPES = {0: np.float32, 1: np.float64}
+_MAX_RANK = 32  # numpy 1's limit on dimensions
 
 
 def tensor_record(t: Tensor) -> tuple[bytes, np.ndarray]:
@@ -727,27 +728,43 @@ def tensor_record(t: Tensor) -> tuple[bytes, np.ndarray]:
     return head, body.reshape(-1).view(np.uint8)
 
 
-def tensor_from_bytes(buf) -> Tensor:
-    """Decode one TSR1 record from any bytes-like buffer (a memoryview slice
-    is read in place); the tensor's data is its only copy."""
-    if len(buf) < 13 or buf[:8] != _TSR1_MAGIC:
+def read_record(f, size: int) -> Tensor:
+    """Read one TSR1 record of exactly ``size`` bytes from binary file ``f``.
+
+    The header is checked against ``size`` before anything is allocated, then
+    the payload is read straight into the tensor's array: one copy, from the
+    file into its final place.  A record that is shorter or longer than
+    ``size`` raises ``FormatError``.
+    """
+    head = f.read(min(size, 12))
+    if len(head) < 12 or head[:8] != _TSR1_MAGIC:
         raise FormatError("not a TSR1 tensor (bad magic)")
-    (rank,) = struct.unpack_from("<I", buf, 8)
-    off = 12
-    if len(buf) < off + 8 * rank + 1:
+    (rank,) = struct.unpack_from("<I", head, 8)
+    off = 12 + 8 * rank + 1
+    if off > size:
         raise FormatError("TSR1 tensor truncated in header")
-    shape = struct.unpack_from(f"<{rank}Q", buf, off) if rank else ()
-    off += 8 * rank
-    code = buf[off]
-    off += 1
+    if rank > _MAX_RANK:
+        raise FormatError(f"TSR1: rank {rank} exceeds {_MAX_RANK}")
+    tail = f.read(off - 12)
+    if len(tail) < off - 12:
+        raise FormatError("TSR1 tensor truncated in header")
+    shape, code = struct.unpack_from(f"<{rank}Q", tail), tail[-1]
     if code not in _CODE_DTYPES:
         raise FormatError(f"TSR1: unknown dtype code {code}")
     dt = np.dtype(_CODE_DTYPES[code]).newbyteorder("<")
-    count = math.prod(shape)  # Python ints: np.prod would wrap at 2**63
-    if len(buf) - off < count * dt.itemsize:
+    nbytes = math.prod(shape) * dt.itemsize  # Python ints: np.prod would wrap at 2**63
+    if off + nbytes > size:
         raise FormatError("TSR1 tensor truncated in payload")
-    data = np.frombuffer(buf, dtype=dt, count=count, offset=off).reshape(shape)
-    return Tensor(data.astype(_CODE_DTYPES[code]))
+    if off + nbytes < size:
+        raise FormatError(f"TSR1 record is {off + nbytes} bytes, not {size}")
+    data = np.empty(shape, dtype=dt)
+    buf, done = data.reshape(-1).view(np.uint8), 0
+    while done < nbytes:
+        n = f.readinto(buf[done:])
+        if not n:
+            raise FormatError("TSR1 tensor truncated in payload")
+        done += n
+    return Tensor(data.astype(_CODE_DTYPES[code], copy=False))
 
 
 def save_tensor(path, t: Tensor) -> None:
@@ -755,5 +772,6 @@ def save_tensor(path, t: Tensor) -> None:
 
 
 def load_tensor(path) -> Tensor:
+    """Read a TSR1 file; the file must hold exactly one record."""
     with open(path, "rb") as f:
-        return tensor_from_bytes(f.read())
+        return read_record(f, os.fstat(f.fileno()).st_size)

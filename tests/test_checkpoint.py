@@ -1,4 +1,7 @@
+import json
 import os
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -15,7 +18,7 @@ from cswin_seg.checkpoint import (
 from cswin_seg.cli import main as cli_main
 from cswin_seg import data
 from cswin_seg.data import synth_generate, write_pgm
-from cswin_seg.errors import FormatError
+from cswin_seg.errors import ConfigError, FormatError
 from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import SGD, OptimizerConfig
 from cswin_seg.tensor import Tensor, save_tensor
@@ -96,7 +99,8 @@ class TestRoundtrip:
         assert held <= 1.1 * param_bytes, f"model and checkpoint hold {held / param_bytes:.2f}x the parameter bytes"
 
     def test_restore_peak_memory(self, tmp_path):
-        # the file's bytes plus one copy of each tensor; no drawn model on top
+        # one copy of each tensor and no drawn model on top (the tighter
+        # test_load_peak_within_one_copy also bounds the file's bytes away)
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, snapshot(Model.create(tiny_config(), seed=0)))
         tracemalloc.start()
@@ -109,8 +113,8 @@ class TestRoundtrip:
         assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
 
     def test_load_peak_memory(self, tmp_path):
-        # the payload is sliced as a memoryview, so each tensor is copied
-        # once out of the file's bytes: the peak stays near 2x the file
+        # each record is read straight into its tensor's array, so the peak
+        # stays near 1x the file (test_load_peak_within_one_copy bounds it)
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, snapshot(Model.create(tiny_config(), seed=0)))
         tracemalloc.start()
@@ -122,6 +126,33 @@ class TestRoundtrip:
         size = os.path.getsize(p)
         assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
 
+    @pytest.mark.parametrize("load", [load_checkpoint, restore_model])
+    def test_load_peak_within_one_copy(self, tmp_path, load):
+        # one copy of each tensor and no copy of the file
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(tiny_config(), seed=0)))
+        tracemalloc.start()
+        try:
+            load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(p)
+        assert peak <= 1.2 * size, f"peak {peak / size:.2f}x the file size"
+
+    def test_restored_arrays_are_owned_and_trained_in_place(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=0)))
+        model, ckpt = restore_model(p)
+        opt = SGD(model.named_parameters(), OptimizerConfig(lr=0.5, momentum=0.0, weight_decay=0.0))
+        for name, t in model.named_parameters():
+            flags = t.data.flags
+            assert flags.owndata and flags.writeable and flags.aligned, name
+            t.grad = np.ones_like(t.data)
+        before = {name: t.data.copy() for name, t in ckpt.params.items()}
+        opt.step()
+        for name, t in ckpt.params.items():
+            assert (t.data == before[name] - 0.5).all(), name
 
     def test_save_peak_memory(self, tmp_path):
         # records stream from the tensors' own arrays; no joined payload
@@ -204,6 +235,137 @@ class TestNegativePaths:
         save_checkpoint(p, ckpt)
         with pytest.raises(FormatError, match=expect):
             restore_model(p)
+
+
+def _split(data: bytes) -> tuple[dict, int]:
+    """A CKPT1 file's header and the offset of its payload."""
+    (head_len,) = struct.unpack_from("<Q", data, len(checkpoint.MAGIC))
+    start = len(checkpoint.MAGIC) + 8
+    return json.loads(data[start : start + head_len]), start + head_len
+
+
+def _rewrite(p, edit) -> None:
+    """Rewrite a checkpoint's JSON header in place with ``edit(header)``."""
+    data = p.read_bytes()
+    header, payload_start = _split(data)
+    edit(header)
+    head = json.dumps(header).encode()
+    p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(head)) + head + data[payload_start:])
+
+
+class TestHeaderSchema:
+    @pytest.fixture
+    def ckpt_path(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=0)))
+        return p
+
+    @pytest.mark.parametrize("key", ["config", "tensors", "momenta", "iteration"])
+    def test_missing_key(self, ckpt_path, key):
+        _rewrite(ckpt_path, lambda h: h.pop(key))
+        with pytest.raises(FormatError, match=f"header has keys .*expected .*'{key}'"):
+            load_checkpoint(ckpt_path)
+
+    def test_string_offset(self, ckpt_path):
+        _rewrite(ckpt_path, lambda h: h["tensors"][0].update(offset="0"))
+        with pytest.raises(FormatError, match="field 'offset' is str"):
+            load_checkpoint(ckpt_path)
+
+    def test_string_embed_dim(self, ckpt_path):
+        _rewrite(ckpt_path, lambda h: h["config"].update(embed_dim="8"))
+        with pytest.raises(ConfigError, match="embed_dim must be int"):
+            load_checkpoint(ckpt_path)
+
+    def test_entry_longer_than_its_record(self, ckpt_path):
+        # the last record, padded by the 7 bytes its entry claims in addition
+        _rewrite(ckpt_path, lambda h: h["tensors"][-1].update(length=h["tensors"][-1]["length"] + 7))
+        with open(ckpt_path, "ab") as f:
+            f.write(b"\x00" * 7)
+        name = _split(ckpt_path.read_bytes())[0]["tensors"][-1]["name"]
+        with pytest.raises(FormatError, match=f"tensor {re.escape(name)}: TSR1 record is"):
+            load_checkpoint(ckpt_path)
+
+    @pytest.mark.parametrize(
+        "edit,expect",
+        [
+            (lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]), "listed twice"),
+            (lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 4), "expected offset"),
+            (lambda h: h["tensors"].reverse(), "expected offset 0"),
+            (lambda h: h["tensors"].pop(), "index covers"),
+            (lambda h: h.update(iteration=True), "field 'iteration' is bool"),
+        ],
+    )
+    def test_bad_index_or_field_type(self, ckpt_path, edit, expect):
+        _rewrite(ckpt_path, edit)
+        with pytest.raises(FormatError, match=expect):
+            load_checkpoint(ckpt_path)
+
+    def test_momentum_without_parameter(self, tmp_path):
+        ckpt = snapshot(Model.create(micro(), seed=0))
+        ckpt.momenta["no.such.param"] = Tensor(np.zeros(3, np.float32))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, ckpt)
+        with pytest.raises(FormatError, match="momentum no.such.param has no parameter"):
+            load_checkpoint(p)
+
+
+class TestMutations:
+    """Seeded damage to a checkpoint with momenta: only typed errors escape."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        model = Model.create(micro(), seed=0)
+        opt = SGD(model.named_parameters(), OptimizerConfig(lr=0.01))
+        for _, t in model.named_parameters():
+            t.grad = np.ones_like(t.data)
+        opt.step()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(model, optimizer=opt, iteration=1))
+        return p.read_bytes()
+
+    def test_truncation_at_every_record_boundary(self, tmp_path, data):
+        header, payload_start = _split(data)
+        entries = header["tensors"] + header["momenta"]
+        bounds = {len(checkpoint.MAGIC), len(checkpoint.MAGIC) + 8, payload_start}
+        bounds |= {payload_start + e["offset"] for e in entries}
+        cuts = sorted({b + d for b in bounds for d in (-1, 0, 1)} & set(range(len(data))))
+        assert len(cuts) > 3 * len(entries)
+        q = tmp_path / "cut.ckpt"
+        for cut in cuts:
+            q.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                load_checkpoint(q)
+            with pytest.raises(FormatError):
+                restore_model(q)
+
+    def test_bit_flips_in_magic_length_and_header(self, tmp_path, data):
+        _, payload_start = _split(data)
+        rng = np.random.default_rng(1201)
+        q = tmp_path / "flip.ckpt"
+        loaded = 0
+        for _ in range(300):
+            mutated = bytearray(data)
+            for _ in range(rng.integers(1, 4)):
+                mutated[rng.integers(0, payload_start)] ^= 1 << int(rng.integers(0, 8))
+            q.write_bytes(bytes(mutated))
+            try:  # any other exception fails the test
+                load_checkpoint(q)
+                restore_model(q)
+                loaded += 1
+            except (FormatError, ConfigError):
+                pass
+        assert loaded < 300  # some flips must have been caught
+
+    def test_huge_shape_rejected_before_allocating(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, Checkpoint(config=micro(), params={"x": Tensor(np.zeros((2, 2), np.float32))}))
+        data = bytearray(p.read_bytes())
+        _, payload_start = _split(bytes(data))
+        data[payload_start + 12 : payload_start + 28] = struct.pack("<2Q", 2**32, 2**32)
+        p.write_bytes(bytes(data))
+        monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("np.empty ran"))
+        with pytest.raises(FormatError, match="tensor x: TSR1 tensor truncated in payload"):
+            load_checkpoint(p)
 
 
 class _FailingFile:

@@ -70,6 +70,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="window_size"):
             NetworkConfig.load(p)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("embed_dim", "8"), ("input_size", 64.0), ("mlp_ratio", True), ("depths", 4),
+         ("heads", [2, 2, "4", 4]), ("lepe_enabled", 1), ("upsampler", None)],
+    )
+    def test_value_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"config {field} must be"):
+            tiny_config(**{field: value})
+
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            NetworkConfig.from_dict([["embed_dim", 8]])
+
 
 class TestShapes:
     def test_token_embed_quarters_resolution(self):

@@ -1,3 +1,4 @@
+import io
 import struct
 import weakref
 
@@ -251,6 +252,23 @@ class TestConv2d:
             lambda: T.tsum(T.conv2d(x, w, b, stride=2, padding=1)),
             [("x", x), ("w", w), ("b", b)],
         )
+
+    @pytest.mark.parametrize("k,stride,pad", [(7, 4, 3), (1, 1, 0)])
+    def test_constant_input_gets_no_gradient(self, k, stride, pad):
+        # the image into the token embedding: gx is skipped, gw and gb unchanged
+        rng = np.random.default_rng(12)
+        xd = rng.uniform(-1, 1, (9, 9, 3)).astype(np.float32)
+        w, b = randt(rng, (k, k, 3, 4), "f32", True), randt(rng, (4,), "f32", True)
+        grads = []
+        for x in (Tensor(xd), Tensor(xd, requires_grad=True)):
+            with Tape() as tape:
+                y = T.conv2d(x, w, b, stride=stride, padding=pad)
+            (_, _, grad_fn, _), = tape.entries
+            grads.append(grad_fn(np.ones_like(y.data)))
+        (gx, gw, gb), (gx_var, gw_var, gb_var) = grads
+        assert gx is None and gx_var.shape == xd.shape
+        np.testing.assert_array_equal(gw, gw_var)
+        np.testing.assert_array_equal(gb, gb_var)
 
 
 class TestAttention:
@@ -542,22 +560,56 @@ class TestTSR1:
 
     def test_scalar_rank_zero(self):
         t = Tensor(np.asarray(3.5))
-        back = T.tensor_from_bytes(b"".join(T.tensor_record(t)))
+        back = read_bytes(b"".join(T.tensor_record(t)))
         assert back.shape == ()
         assert back.item() == 3.5
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        buf = b"JUNK0000" + b"\x00" * 16
         with pytest.raises(FormatError):
-            T.tensor_from_bytes(b"JUNK0000" + b"\x00" * 16)
+            read_bytes(buf)
+        (tmp_path / "junk.tsr").write_bytes(buf)
+        with pytest.raises(FormatError, match="bad magic"):
+            T.load_tensor(tmp_path / "junk.tsr")
 
-    def test_truncation(self):
+    def test_truncation(self, tmp_path):
         buf = b"".join(T.tensor_record(Tensor(np.ones((4, 4)))))
         with pytest.raises(FormatError):
-            T.tensor_from_bytes(buf[:-3])
-
-    def test_element_count_beyond_int64(self):
-        # 2**32 x 2**32 elements wrap to 0 in an int64 product; the header
-        # must be rejected as a format error, not reach reshape
-        buf = b"TSR1\x00\x00\x00\x00" + struct.pack("<I2QB", 2, 2**32, 2**32, 0) + b"\x00" * 16
+            read_bytes(buf[:-3])
+        (tmp_path / "cut.tsr").write_bytes(buf[:-3])
         with pytest.raises(FormatError, match="truncated"):
-            T.tensor_from_bytes(buf)
+            T.load_tensor(tmp_path / "cut.tsr")
+        # the stream ends before the size the caller vouched for
+        with pytest.raises(FormatError, match="truncated in payload"):
+            T.read_record(io.BytesIO(buf[:-3]), len(buf))
+
+    def test_element_count_beyond_int64(self, monkeypatch):
+        # 2**32 x 2**32 elements wrap to 0 in an int64 product; the header
+        # must be rejected as a format error before anything is allocated
+        buf = b"TSR1\x00\x00\x00\x00" + struct.pack("<I2QB", 2, 2**32, 2**32, 0) + b"\x00" * 16
+        monkeypatch.setattr(T.np, "empty", lambda *a, **k: pytest.fail("np.empty ran"))
+        with pytest.raises(FormatError, match="truncated"):
+            read_bytes(buf)
+
+    def test_record_longer_than_its_payload(self):
+        buf = b"".join(T.tensor_record(Tensor(np.ones((2, 3), np.float32))))
+        with pytest.raises(FormatError, match=f"record is {len(buf)} bytes, not {len(buf) + 7}"):
+            read_bytes(buf + b"\x00" * 7)
+
+    def test_rank_beyond_numpy(self):
+        rank = 40
+        buf = b"TSR1\x00\x00\x00\x00" + struct.pack(f"<I{rank}QB", rank, *([1] * rank), 0) + b"\x00" * 4
+        with pytest.raises(FormatError, match="rank 40"):
+            read_bytes(buf)
+
+    def test_read_lands_in_an_owned_writable_array(self):
+        t = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+        back = read_bytes(b"".join(T.tensor_record(t)))
+        flags = back.data.flags
+        assert flags.owndata and flags.writeable and flags.aligned and flags.c_contiguous
+        assert back.data.dtype == np.float32 and (back.data == t.data).all()
+
+
+def read_bytes(buf: bytes) -> Tensor:
+    """Decode a whole buffer as one TSR1 record through the file reader."""
+    return T.read_record(io.BytesIO(buf), len(buf))
