@@ -10,12 +10,12 @@ from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample, pred
 from .checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint, snapshot
 from .complexity import count_flops, count_params
 from .data import SegmentationSample, generate_sample, load_dataset, synth_generate
-from .losses import LossConfig, combined_loss, cross_entropy_loss, dice_loss
+from .losses import LossConfig, cross_entropy_loss, dice_loss
 from .metrics import MetricsReport, dsc, evaluate_masks, hausdorff, se_sp_acc
 from .network import Model, NetworkConfig, default_config, tiny_config
 from .optim import SGD, OptimizerConfig
 from .tensor import Tape, Tensor, backward
-from .train import augment, evaluate_model, train
+from .train import augment, combined_loss, evaluate_model, train
 
 __all__ = [
     "AttentionConfig",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import FormatError
+from .errors import ContractError, FormatError
 from .initializers import ParamSource
 from .network import Model, NetworkConfig
 from .optim import SGD
@@ -58,7 +58,12 @@ def snapshot(model: Model, optimizer: SGD | None = None, iteration: int = 0, rng
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write the header, then stream each TSR1 record straight from its
     tensor's array: offsets come from the record sizes, so the payload is
-    never joined in memory."""
+    never joined in memory.  Momenta must name parameters, as
+    ``load_checkpoint`` requires; otherwise ``ContractError`` is raised
+    before any byte is written."""
+    orphans = sorted(set(ckpt.momenta) - set(ckpt.params))
+    if orphans:
+        raise ContractError(f"momentum {orphans[0]} has no parameter")
     records = []
     index = {"params": [], "momenta": []}
     offset = 0

@@ -1,10 +1,20 @@
-"""Combined Dice / cross-entropy segmentation objective.
+"""Dice and cross-entropy segmentation losses.
 
 Both terms consume raw logits [H,W,K] and an integer label map [H,W].
 Dice is the soft multi-class form (softmax probabilities against one-hot
 targets, smoothing term in numerator and denominator, background class
 included in the class mean); cross-entropy is averaged over pixels so the
-two weights stay comparable across image sizes.
+two weights stay comparable across image sizes.  ``train.combined_loss``
+weighs them into the training objective.
+
+Each loss is one tape entry: it computes one max-shifted softmax p and
+has a closed-form gradient in the logits' dtype.  With N = H*W pixels,
+targets t (one-hot of the labels), I_k = sum_n p_nk t_nk and
+D_k = sum_n (p_nk + t_nk):
+  * cross-entropy: dL/dx = (p - t) / N;
+  * Dice (Milletari et al., "V-Net", 2016):
+    dL/dp_k = -(1/K) * [2 t_k / (D_k + s) - (2 I_k + s) / (D_k + s)^2],
+    passed once through the softmax Jacobian, dx = p * (dp - sum_k p_k dp_k).
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .tensor import DTYPES, Tensor, log_softmax, reshape, softmax, tsum
+from .tensor import Tensor, _emit
 
 
 @dataclass
@@ -32,47 +42,53 @@ class LossConfig:
             raise ConfigError("dice smoothing must be positive")
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype: str = "f32") -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise DataError(f"labels outside [0, {num_classes}): {labels.min()}..{labels.max()}")
-    return np.eye(num_classes, dtype=DTYPES[dtype])[labels]
-
-
-def _check_pair(logits: Tensor, labels: np.ndarray) -> None:
+def _softmax_rows(logits: Tensor, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check the pair; return the flat labels [N], the max-shifted logits
+    [N,K], their row sums of exp [N,1] and the probabilities [N,K]."""
     if logits.ndim != 3:
         raise DimensionError(f"logits must be [H,W,K], got {logits.shape}")
     if labels.shape != logits.shape[:2]:
         raise DimensionError(f"labels {labels.shape} do not match logits {logits.shape}")
+    k = logits.shape[2]
+    idx = np.asarray(labels).reshape(-1)
+    if idx.min() < 0 or idx.max() >= k:
+        raise DataError(f"labels outside [0, {k}): {idx.min()}..{idx.max()}")
+    z = logits.data.reshape(-1, k)
+    z = z - z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    total = p.sum(axis=1, keepdims=True)
+    p /= total
+    return idx, z, total, p
 
 
 def dice_loss(logits: Tensor, labels: np.ndarray, smooth: float = 1e-5) -> Tensor:
     """1 - mean over classes of the smoothed soft-Dice overlap."""
-    _check_pair(logits, labels)
-    h, w, k = logits.shape
-    target = one_hot(labels, k, logits.dtype).reshape(h * w, k)
-    probs = reshape(softmax(logits, axis=-1), (h * w, k))
-    inter = tsum(probs * Tensor(target), axis=0)  # [K]
-    denom = tsum(probs, axis=0) + Tensor(target.sum(axis=0))
-    score = (2.0 * inter + smooth) / (denom + smooth)
-    return tsum(score) * (-1.0 / k) + 1.0
+    idx, _, _, p = _softmax_rows(logits, labels)
+    n, k = p.shape
+    rows = np.arange(n)
+    inter = np.bincount(idx, weights=p[rows, idx], minlength=k).astype(p.dtype)
+    denom = p.sum(axis=0) + np.bincount(idx, minlength=k).astype(p.dtype) + smooth
+    score = (2.0 * inter + smooth) / denom
+
+    def grad_fn(g):
+        dp = np.tile(score / denom, (n, 1))  # K * dL/dp: (2I+s)/(D+s)^2, less 2/(D+s) at the label
+        dp[rows, idx] -= 2.0 / denom[idx]
+        dp *= g / k
+        return ((p * (dp - (p * dp).sum(axis=1, keepdims=True))).reshape(logits.shape),)
+
+    return _emit("dice_loss", (logits,), np.asarray(1.0 - score.sum() / k, dtype=p.dtype), grad_fn)
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean per-pixel negative log-likelihood of the labeled class."""
-    _check_pair(logits, labels)
-    h, w, k = logits.shape
-    target = Tensor(one_hot(labels, k, logits.dtype))
-    nll = tsum(log_softmax(logits, axis=-1) * target)
-    return nll * (-1.0 / (h * w))
+    idx, z, total, p = _softmax_rows(logits, labels)
+    n = len(idx)
+    rows = np.arange(n)
+    nll = np.log(total[:, 0]) - z[rows, idx]
 
+    def grad_fn(g):
+        gx = p * (g / n)
+        gx[rows, idx] -= g / n
+        return (gx.reshape(logits.shape),)
 
-def combined_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
-    """alpha * Dice + beta * cross-entropy, exactly."""
-    total = None
-    if cfg.alpha:
-        total = cfg.alpha * dice_loss(logits, labels, cfg.dice_smooth)
-    if cfg.beta:
-        ce = cfg.beta * cross_entropy_loss(logits, labels)
-        total = ce if total is None else total + ce
-    return total
+    return _emit("cross_entropy_loss", (logits,), np.asarray(nll.sum() / n, dtype=p.dtype), grad_fn)

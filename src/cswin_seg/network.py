@@ -72,6 +72,9 @@ class NetworkConfig:
         self.depths = tuple(self.depths)
         self.stripe_widths = tuple(self.stripe_widths)
         self.heads = tuple(self.heads)
+        for name in ("input_size", "in_channels", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.input_size % 32:
             raise ConfigError(f"input size {self.input_size} not divisible by 32")
         if self.num_classes < 1:

@@ -154,9 +154,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self._coerce(other), self)
 
-    def __truediv__(self, other):
-        return div(self, self._coerce(other))
-
 
 class Tape:
     """Ordered record of primitive applications for one forward pass.
@@ -296,21 +293,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return ga, _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
 
     return _emit("mul", (a, b), out, grad_fn)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("div", a, b)
-    try:
-        out = a.data / b.data
-    except ValueError as e:
-        raise DimensionError(f"div: incompatible shapes {a.shape} and {b.shape}") from e
-
-    def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _emit("div", (a, b), out, grad_fn)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -527,22 +509,6 @@ def attention(qkv: Tensor) -> Tensor:
         return (gqkv,)
 
     return _emit("attention", (qkv,), np.matmul(p, v), grad_fn)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed via a stabilized log-sum-exp."""
-    if x.shape[axis] == 0:
-        raise DimensionError("log_softmax over an empty axis")
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    sm = np.exp(out)
-
-    def grad_fn(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return _emit("log_softmax", (x,), out, grad_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -1,5 +1,5 @@
 """Training loop: shuffled minibatches, flip/rotation augmentation, the
-combined objective, momentum SGD, loss/metric logging.
+Dice + cross-entropy objective, momentum SGD, loss/metric logging.
 
 Gradients of the per-sample losses are accumulated and scaled by 1/batch,
 so a step uses the mean batch gradient.  Everything (shuffling, transform
@@ -63,6 +63,19 @@ class TrainResult:
     rng_state: dict | None = None
 
 
+def combined_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> tuple[Tensor, float, float]:
+    """alpha * Dice + beta * cross-entropy, with the values of its Dice and
+    cross-entropy parts (0.0 for a part whose weight is 0; it is not run)."""
+    total = dice = ce = None
+    if cfg.alpha:
+        dice = dice_loss(logits, labels, cfg.dice_smooth)
+        total = cfg.alpha * dice
+    if cfg.beta:
+        ce = cross_entropy_loss(logits, labels)
+        total = cfg.beta * ce if total is None else total + cfg.beta * ce
+    return total, 0.0 if dice is None else dice.item(), 0.0 if ce is None else ce.item()
+
+
 def predict_mask(model: Model, image: np.ndarray) -> np.ndarray:
     return model.forward(Tensor(image)).data.argmax(axis=-1)
 
@@ -106,19 +119,12 @@ def train(
             if augment_enabled:
                 sample = augment(sample, rng)
             with Tape() as tape:
-                logits = model.forward(Tensor(sample.image))
-                dice = dice_loss(logits, sample.mask, loss_cfg.dice_smooth) if loss_cfg.alpha else None
-                ce = cross_entropy_loss(logits, sample.mask) if loss_cfg.beta else None
-                loss = None
-                if dice is not None:
-                    loss = loss_cfg.alpha * dice
-                if ce is not None:
-                    loss = loss_cfg.beta * ce if loss is None else loss + loss_cfg.beta * ce
+                loss, dice, ce = combined_loss(model.forward(Tensor(sample.image)), sample.mask, loss_cfg)
                 scaled = loss * inv_batch
             backward(scaled, tape)
             tot_l += loss.item() * inv_batch
-            dice_l += dice.item() * inv_batch if dice is not None else 0.0
-            ce_l += ce.item() * inv_batch if ce is not None else 0.0
+            dice_l += dice * inv_batch
+            ce_l += ce * inv_batch
 
         lr = opt_cfg.lr_at(iteration)
         optimizer.step(lr)

@@ -291,6 +291,37 @@ def dice_loss_scalar(logits, labels, smooth):
     return 1.0 - total / k
 
 
+def segmentation_loss_numpy(logits, labels, alpha, beta, smooth):
+    """alpha * soft Dice + beta * mean pixel NLL as plain array expressions.
+
+    Written only with operations analytic in the logits (the max shift is a
+    constant taken from the real part), so a complex input carries the
+    derivative along its imaginary part."""
+    h, w, k = logits.shape
+    z = logits.reshape(-1, k)
+    z = z - z.real.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    t = np.eye(k)[labels.reshape(-1)]
+    inter = (p * t).sum(axis=0)
+    denom = p.sum(axis=0) + t.sum(axis=0)
+    dice = 1.0 - ((2.0 * inter + smooth) / (denom + smooth)).mean()
+    ce = (np.log(e.sum(axis=1)) - (z * t).sum(axis=1)).mean()
+    return alpha * dice + beta * ce
+
+
+def complex_step_grad(f, x, step=1e-30):
+    """Gradient of a real-analytic f at real x: Im f(x + i*step*e_j) / step
+    for each coordinate j.  No difference is taken, so it is exact to rounding
+    whatever the step."""
+    g = np.empty(x.shape)
+    for j in range(x.size):
+        xc = x.astype(complex)
+        xc.flat[j] += 1j * step
+        g.flat[j] = f(xc).imag / step
+    return g
+
+
 def trunc_normal_reference(rng, shape, std):
     """Truncated normal by redrawing every out-of-range entry of a boolean
     mask over the whole array until none is left; returns (array, rounds)."""

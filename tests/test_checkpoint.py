@@ -18,7 +18,7 @@ from cswin_seg.checkpoint import (
 from cswin_seg.cli import main as cli_main
 from cswin_seg import data
 from cswin_seg.data import synth_generate, write_pgm
-from cswin_seg.errors import ConfigError, FormatError
+from cswin_seg.errors import ConfigError, ContractError, FormatError
 from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import SGD, OptimizerConfig
 from cswin_seg.tensor import Tensor, save_tensor
@@ -301,12 +301,25 @@ class TestHeaderSchema:
             load_checkpoint(ckpt_path)
 
     def test_momentum_without_parameter(self, tmp_path):
+        # the writer refuses such a checkpoint, so the header is edited by hand
         ckpt = snapshot(Model.create(micro(), seed=0))
-        ckpt.momenta["no.such.param"] = Tensor(np.zeros(3, np.float32))
+        name = sorted(ckpt.params)[0]
+        ckpt.momenta[name] = Tensor(np.zeros_like(ckpt.params[name].data))
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, ckpt)
+        _rewrite(p, lambda h: h["momenta"][0].update(name="no.such.param"))
         with pytest.raises(FormatError, match="momentum no.such.param has no parameter"):
             load_checkpoint(p)
+
+    def test_writer_refuses_momentum_without_parameter(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(b"previous checkpoint")
+        ckpt = snapshot(Model.create(micro(), seed=0))
+        ckpt.momenta["no.such.param"] = Tensor(np.zeros(3, np.float32))
+        with pytest.raises(ContractError, match="momentum no.such.param has no parameter"):
+            save_checkpoint(p, ckpt)
+        assert p.read_bytes() == b"previous checkpoint"
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 class TestMutations:

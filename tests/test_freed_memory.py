@@ -37,9 +37,10 @@ def test_warm_taped_step_faults_few_pages():
     # with glibc's default thresholds the third step faults several hundred pages
     body = f"""
 import numpy as np
-from cswin_seg.losses import LossConfig, combined_loss
+from cswin_seg.losses import LossConfig
 from cswin_seg.network import Model, tiny_config
 from cswin_seg.tensor import Tape, Tensor, backward
+from cswin_seg.train import combined_loss
 
 model = Model.create(tiny_config(), seed=0)
 rng = np.random.default_rng(0)
@@ -50,7 +51,7 @@ for _ in range(3):
         t.zero_grad()
     before = {_FAULTS}
     with Tape() as tape:
-        loss = combined_loss(model.forward(img), labels, LossConfig())
+        loss = combined_loss(model.forward(img), labels, LossConfig())[0]
     backward(loss, tape)
     print({_FAULTS} - before)
 """

@@ -3,10 +3,11 @@ import pytest
 
 from cswin_seg.errors import ConfigError, DataError
 from cswin_seg.gradcheck import check_gradients
-from cswin_seg.losses import LossConfig, combined_loss, cross_entropy_loss, dice_loss
-from cswin_seg.tensor import Tensor
+from cswin_seg.losses import LossConfig, cross_entropy_loss, dice_loss
+from cswin_seg.tensor import Tape, Tensor, backward
+from cswin_seg.train import combined_loss
 
-from oracles import cross_entropy_scalar, dice_loss_scalar
+from oracles import complex_step_grad, cross_entropy_scalar, dice_loss_scalar, segmentation_loss_numpy
 
 
 class TestDiceLoss:
@@ -88,14 +89,14 @@ class TestCombinedLoss:
         logits = Tensor(rng.uniform(-1, 1, (4, 4, 3)), dtype="f64")
         labels = rng.integers(0, 3, (4, 4))
         cfg = LossConfig(alpha=1.0, beta=0.0)
-        assert abs(combined_loss(logits, labels, cfg).item() - dice_loss(logits, labels).item()) < 1e-12
+        assert abs(combined_loss(logits, labels, cfg)[0].item() - dice_loss(logits, labels).item()) < 1e-12
 
     def test_ce_only(self):
         rng = np.random.default_rng(8)
         logits = Tensor(rng.uniform(-1, 1, (4, 4, 3)), dtype="f64")
         labels = rng.integers(0, 3, (4, 4))
         cfg = LossConfig(alpha=0.0, beta=1.0)
-        assert abs(combined_loss(logits, labels, cfg).item() - cross_entropy_loss(logits, labels).item()) < 1e-12
+        assert abs(combined_loss(logits, labels, cfg)[0].item() - cross_entropy_loss(logits, labels).item()) < 1e-12
 
     def test_affine_combination(self):
         rng = np.random.default_rng(9)
@@ -104,7 +105,7 @@ class TestCombinedLoss:
         for alpha, beta in [(0.4, 0.6), (0.5, 0.5), (0.6, 0.4), (1.0, 0.0), (0.0, 1.0)]:
             cfg = LossConfig(alpha=alpha, beta=beta)
             want = alpha * dice_loss(logits, labels, cfg.dice_smooth).item() + beta * cross_entropy_loss(logits, labels).item()
-            assert abs(combined_loss(logits, labels, cfg).item() - want) < 1e-9
+            assert abs(combined_loss(logits, labels, cfg)[0].item() - want) < 1e-9
 
     def test_default_weights(self):
         cfg = LossConfig()
@@ -131,3 +132,58 @@ class TestCombinedLoss:
             LossConfig(alpha=-0.1, beta=0.5)
         with pytest.raises(ConfigError):
             LossConfig(alpha=0.0, beta=0.0)
+
+    def test_parts_are_the_two_losses(self):
+        rng = np.random.default_rng(11)
+        logits = Tensor(rng.uniform(-1, 1, (4, 5, 3)), dtype="f64")
+        labels = rng.integers(0, 3, (4, 5))
+        total, dice, ce = combined_loss(logits, labels, LossConfig(alpha=0.4, beta=0.6))
+        assert dice == dice_loss(logits, labels).item() and ce == cross_entropy_loss(logits, labels).item()
+        assert abs(total.item() - (0.4 * dice + 0.6 * ce)) < 1e-15
+        assert combined_loss(logits, labels, LossConfig(alpha=0.0, beta=1.0))[1] == 0.0
+        assert combined_loss(logits, labels, LossConfig(alpha=1.0, beta=0.0))[2] == 0.0
+
+
+def _labels(rng, shape, k, absent):
+    labels = rng.integers(0, k, shape)
+    if absent:  # one class appears nowhere in the image
+        labels[labels == k - 1] = 0
+    return labels
+
+
+class TestComplexStepOracle:
+    """Objective and logit gradient in f64 against the complex-step gradient
+    of the plain numpy loss, which shares no derivation with the primitives."""
+
+    @pytest.mark.parametrize("alpha,beta", [(0.4, 0.6), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("shape,absent", [((4, 4, 3), False), ((5, 7, 4), False), ((6, 6, 9), False), ((5, 6, 4), True)])
+    def test_value_and_gradient(self, alpha, beta, shape, absent):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.uniform(-3, 3, shape)
+        labels = _labels(rng, shape[:2], shape[2], absent)
+        cfg = LossConfig(alpha=alpha, beta=beta)
+        logits = Tensor(x, dtype="f64", requires_grad=True)
+        with Tape() as tape:
+            loss = combined_loss(logits, labels, cfg)[0]
+        backward(loss, tape)
+
+        def oracle(z):
+            return segmentation_loss_numpy(z, labels, alpha, beta, cfg.dice_smooth)
+
+        assert abs(loss.item() - oracle(x)) <= 1e-12
+        np.testing.assert_allclose(logits.grad, complex_step_grad(oracle, x), rtol=0, atol=1e-12)
+
+
+class TestOneTapeEntry:
+    @pytest.mark.parametrize("loss_fn", [dice_loss, cross_entropy_loss])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_loss_is_one_entry_with_gradient_in_logits_dtype(self, loss_fn, dtype):
+        rng = np.random.default_rng(12)
+        logits = Tensor(rng.uniform(-1, 1, (6, 5, 4)), dtype=dtype, requires_grad=True)
+        with Tape() as tape:
+            out = loss_fn(logits, rng.integers(0, 4, (6, 5)))
+        assert len(tape.entries) == 1
+        (inputs, entry_out, grad_fn, _), = tape.entries
+        assert inputs == (logits,) and entry_out is out and out.dtype == dtype
+        (gx,) = grad_fn(np.ones_like(out.data))
+        assert gx.dtype == logits.data.dtype and gx.shape == logits.shape

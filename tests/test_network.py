@@ -7,7 +7,7 @@ import pytest
 
 from cswin_seg import complexity
 from cswin_seg.errors import ConfigError, DimensionError
-from cswin_seg.losses import LossConfig, combined_loss
+from cswin_seg.losses import LossConfig
 from cswin_seg.network import (
     ConvParams,
     Model,
@@ -17,6 +17,7 @@ from cswin_seg.network import (
     transposed_conv_upsample,
 )
 from cswin_seg.tensor import Tape, Tensor, backward, tsum, upsample_bilinear
+from cswin_seg.train import combined_loss
 
 
 def micro_config(**overrides):
@@ -43,6 +44,13 @@ class TestConfig:
     def test_indivisible_input_rejected(self):
         with pytest.raises(ConfigError):
             NetworkConfig(input_size=100)
+
+    @pytest.mark.parametrize("field,value", [("input_size", 0), ("in_channels", 0), ("embed_dim", 0), ("embed_dim", -64)])
+    def test_non_positive_size_rejected(self, field, value):
+        # each of these passed the divisibility checks, and Model.create then
+        # failed with a bare ZeroDivisionError or ValueError
+        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+            NetworkConfig(**{field: value})
 
     def test_stripe_width_must_divide_resolution(self):
         with pytest.raises(ConfigError):
@@ -257,7 +265,7 @@ class TestGradientsReachEverything:
         tracemalloc.start()
         try:
             with Tape() as tape:
-                loss = combined_loss(model.forward(img), labels, LossConfig())
+                loss = combined_loss(model.forward(img), labels, LossConfig())[0]
             backward(loss, tape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -276,7 +284,7 @@ def _taped_step(cfg):
     tracemalloc.start()
     try:
         with Tape() as tape:
-            combined_loss(model.forward(img), labels, LossConfig())
+            combined_loss(model.forward(img), labels, LossConfig())[0]
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
