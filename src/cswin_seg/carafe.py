@@ -7,22 +7,25 @@ for each output pixel it covers).  Kernels are softmax-normalized, then the
 output pixel is the kernel-weighted sum of the k_up x k_up neighborhood
 around its source pixel (i, j) = (floor(i'/sigma), floor(j'/sigma)).
 
-The whole upsampler is made of core ops: the kernel field is a reshape of
-the encoder output, and reassembly is ``patches`` (each source pixel's
-neighborhood), one batched ``matmul`` (its sigma^2 kernels against that
-neighborhood) and ``pixel_shuffle`` (each source pixel's sigma^2 outputs to
-space).  Out-of-bounds neighbors contribute zero, in the encoder conv and
-in the reassembly alike.  Channel count is preserved; any channel change is
-the caller's business (the network follows each upsample with a 1x1 conv).
+The kernel field is a reshape of the encoder output, normalized by core
+ops.  Reassembly is one primitive, ``tensor.reassemble``: each source
+pixel's neighborhood meets its sigma^2 kernels in one batched matmul, and
+the sigma^2 outputs go to space as a pixel shuffle would put them.  The tape
+keeps only the input and the field; backward gathers the neighborhoods
+again, band by band.  Out-of-bounds neighbors contribute zero, in the
+encoder conv and in the reassembly alike.  Channel count is preserved; any
+channel change is the caller's business (the network follows each upsample
+with a 1x1 conv).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import tensor
 from .errors import ConfigError, DimensionError
 from .initializers import ParamSource, conv_trunc_normal, zeros
-from .tensor import Tensor, conv2d, matmul, patches, pixel_shuffle, reshape, softmax
+from .tensor import Tensor, conv2d, reshape, softmax
 
 
 @dataclass
@@ -88,17 +91,16 @@ def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleCo
 def reassemble(x: Tensor, field: Tensor, config: UpsampleConfig) -> Tensor:
     """Weighted neighborhood sums: [H,W,C] + kernel field -> [sigma*H, sigma*W, C].
 
-    Each source pixel runs one [sigma^2, k^2] x [k^2, C] matmul, so the
-    upsampled neighborhood [sigma*H, sigma*W, k^2, C] is never built.
+    One ``tensor.reassemble`` entry: each source pixel runs one
+    [sigma^2, k^2] x [k^2, C] matmul, so the upsampled neighborhood
+    [sigma*H, sigma*W, k^2, C] is never built, and the tape keeps neither
+    the source neighborhoods nor the unshuffled product.
     """
-    h, w, c = x.shape
-    sigma, k = config.sigma, config.k_up
-    expect = (h, w, sigma * sigma, config.kernel_area)
+    h, w, _ = x.shape
+    expect = (h, w, config.sigma**2, config.kernel_area)
     if field.shape != expect:
         raise DimensionError(f"kernel field shape {field.shape} != {expect}")
-    hood = patches(x, k, k, stride=1, padding=k // 2)  # [H, W, k^2, C]
-    out = matmul(field, hood)  # [H, W, sigma^2, C]
-    return pixel_shuffle(reshape(out, (h, w, sigma * sigma * c)), sigma, c)
+    return tensor.reassemble(x, field)
 
 
 def carafe_upsample(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:

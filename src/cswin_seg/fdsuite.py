@@ -192,6 +192,10 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     w = _weighted(rng, (3, 3, 3))
     run("conv2d_rect", lambda: w(T.conv2d(xcr, wcr, bcr, stride=2, padding=1)), [("x", xcr), ("w", wcr), ("b", bcr)])
 
+    xra, fra = _probe(rng, (4, 3, 2)), _probe(rng, (4, 3, 4, 9))
+    w = _weighted(rng, (8, 6, 2))
+    run("reassemble", lambda: w(T.reassemble(xra, fra)), [("x", xra), ("field", fra)])
+
     if full:
         results.append(end_to_end_check(h=h, tol=tol, seed=seed))
     return results

@@ -72,7 +72,7 @@ class NetworkConfig:
         self.depths = tuple(self.depths)
         self.stripe_widths = tuple(self.stripe_widths)
         self.heads = tuple(self.heads)
-        for name in ("input_size", "in_channels", "embed_dim"):
+        for name in ("input_size", "in_channels", "embed_dim", "carafe_c_mid"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.input_size % 32:
@@ -88,12 +88,18 @@ class NetworkConfig:
             raise ConfigError(f"unknown upsampler {self.upsampler!r}, expected one of {UPSAMPLERS}")
         if self.mlp_ratio < 1:
             raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
+        for name in ("carafe_k_up", "carafe_k_encoder"):
+            k = getattr(self, name)
+            if k < 1 or k % 2 == 0:
+                raise ConfigError(f"{name} must be odd and positive, got {k}")
         for i in range(NUM_STAGES):
             n, sw, dim, res = self.heads[i], self.stripe_widths[i], self.stage_dim(i), self.stage_resolution(i)
             if n < 2 or n % 2:
                 raise ConfigError(f"stage {i}: head count must be even and >= 2, got {n}")
             if dim % n:
                 raise ConfigError(f"stage {i}: dim {dim} not divisible by {n} heads")
+            if sw < 1:
+                raise ConfigError(f"stage {i}: stripe_widths entries must be positive, got {sw}")
             if res % sw:
                 raise ConfigError(f"stage {i}: stripe width {sw} does not divide resolution {res}")
             if self.depths[i] < 0:

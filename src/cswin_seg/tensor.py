@@ -14,17 +14,20 @@ Design notes:
   * conv2d is one primitive: a patch gather (im2col) feeding one matmul;
     depthwise_conv2d is one primitive over the same gather.
   * attention is one primitive over a stacked [3, B, L, d] projection.
-  * Upsamplers are compositions, not primitives: bilinear is two ``matmul``s
-    against fixed interpolation matrices, and CARAFE (``carafe.py``) is
-    ``patches``, a batched ``matmul`` and ``pixel_shuffle``.
+  * CARAFE reassembly is one primitive, ``reassemble``; the rest of the
+    upsampler (``carafe.py``) is core ops.  Bilinear upsampling is a
+    composition: two ``matmul``s against fixed interpolation matrices.
+  * The im2col gather behind patches, conv2d, depthwise_conv2d and reassemble
+    is one copy out of a ``sliding_window_view`` of the zero-padded input.
   * Forward ops never check for NaN/Inf; ``backward`` validates the loss
     and names the first op with a non-finite output.
   * The tape keeps only what a gradient reads.  Each entry holds its inputs,
     its output and a closure over the arrays its gradient needs; gelu keeps
     only its input and recomputes tanh, patches keeps only the padded shape,
     linear and conv2d add their bias in place so no pre-bias product is kept,
-    conv2d and depthwise_conv2d keep their im2col, and attention keeps only
-    the L x L probabilities.
+    conv2d and depthwise_conv2d keep their im2col, attention keeps only
+    the L x L probabilities, and reassemble keeps only its inputs: backward
+    gathers the neighborhoods again, one band of rows at a time.
     ``reshape`` returns a view (all tensor data is C-contiguous).
     ``backward`` pops each entry once its gradient has run, so activations
     are freed as the reverse walk passes them instead of when it returns.
@@ -52,6 +55,7 @@ import struct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import write_atomic
 from .errors import ContractError, DimensionError, FormatError, NumericError
@@ -551,24 +555,32 @@ def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+def _pad_hw(xd: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the H and W axes of [..., H,W,C]: one allocation and one copy,
+    without np.pad's per-call Python overhead, which dominates on small maps."""
+    *lead, h, w, c = xd.shape
+    xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding, c), dtype=xd.dtype)
+    xp[..., padding : padding + h, padding : padding + w, :] = xd
+    return xp
+
+
 def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, Callable]:
     """im2col [..., H,W,C] -> [..., H',W',kh*kw,C], plus its adjoint: a scatter-add
     back into [..., H,W,C] that keeps only the padded shape, not the input."""
     *lead, h, w, c = xd.shape
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
-    span = lambda k, n: slice(k, k + stride * n, stride)  # tap i*kw + j starts at row i, column j
-    taps = [(..., span(i, ho), span(j, wo), slice(None)) for i in range(kh) for j in range(kw)]
-    xp = np.pad(xd, [(0, 0)] * len(lead) + [(padding, padding), (padding, padding), (0, 0)])
-    out = np.empty((*lead, ho, wo, kh * kw, c), dtype=xd.dtype)
-    for p, tap in enumerate(taps):
-        out[..., p, :] = xp[tap]
+    xp = _pad_hw(xd, padding) if padding else xd
+    # the windows [..., ho, wo, C, kh, kw] are a view; one copy puts them in tap order
+    win = sliding_window_view(xp, (kh, kw), axis=(-3, -2))[..., ::stride, ::stride, :, :, :]
+    out = np.moveaxis(win, -3, -1).reshape(*lead, ho, wo, kh * kw, c)
     xp_shape = xp.shape
 
-    def scatter(g):
+    def scatter(g):  # tap i*kw + j starts at row i, column j; taps add in that order
         gp = np.zeros(xp_shape, dtype=g.dtype)
-        for p, tap in enumerate(taps):
-            gp[tap] += g[..., p, :]
+        for i in range(kh):
+            for j in range(kw):
+                gp[..., i : i + stride * ho : stride, j : j + stride * wo : stride, :] += g[..., i * kw + j, :]
         return np.ascontiguousarray(gp[..., padding : padding + h, padding : padding + w, :])
 
     return out, scatter
@@ -642,6 +654,71 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
         return gx, gw
 
     return _emit("depthwise_conv2d", (x, w), out, grad_fn)
+
+
+_BAND_BYTES = 4 << 20  # neighborhood bytes per reassembly band; every 64 px map fits one band
+
+
+def _row_bands(h: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Split rows [0, h) into near-equal bands of at most _BAND_BYTES / row_bytes rows (one at least)."""
+    n = -(-h // max(1, _BAND_BYTES // row_bytes))
+    return [(h * i // n, h * (i + 1) // n) for i in range(n)]
+
+
+def reassemble(x: Tensor, field: Tensor) -> Tensor:
+    """CARAFE reassembly: x [H,W,C] and a source-major kernel field
+    [H,W,sigma^2,k^2] -> [sigma*H, sigma*W, C].
+
+    Output pixel (i*sigma + di, j*sigma + dj) is the k x k neighborhood of
+    source pixel (i, j), zero outside the map, weighted by the kernel
+    field[i, j, di*sigma + dj]; slot a*k + b weighs the neighbor at offset
+    (a - k//2, b - k//2).  One primitive: each band of source rows gathers
+    its neighborhoods and runs one batched [sigma^2, k^2] x [k^2, C] matmul,
+    so no array the size of the whole neighborhood [H,W,k^2,C] is built.
+    The entry keeps only x and field; backward gathers each band again.  It
+    scatter-adds the bands' taps into the x gradient from the bottom band
+    up: tap i*k + j of source row s lands on padded row s + i, so a padded
+    row takes its taps in the order i*k + j exactly when its source rows
+    come in descending order.  Every result thus equals
+    patches -> matmul -> pixel_shuffle bitwise.
+    """
+    if x.ndim != 3 or field.ndim != 4 or field.shape[:2] != x.shape[:2]:
+        raise DimensionError(f"reassemble expects x [H,W,C] and a field [H,W,s,k], got {x.shape} and {field.shape}")
+    _check_dtypes("reassemble", x, field)
+    h, w, c = x.shape
+    s2, k2 = field.shape[2:]
+    sigma, k = math.isqrt(s2), math.isqrt(k2)
+    if sigma * sigma != s2 or k * k != k2 or k % 2 == 0:
+        raise DimensionError(f"reassemble: field {field.shape} must hold sigma^2 kernels of k^2 slots, k odd")
+    r = k // 2
+    bands = _row_bands(h, w * k2 * c * x.data.itemsize)
+
+    def hood(xp, a, b):  # the neighborhoods [b-a, W, k^2, C] of source rows [a, b)
+        return _im2col(xp[a : b + 2 * r], k, k, 1, 0)[0]
+
+    xp = _pad_hw(x.data, r)
+    out = np.empty((h, sigma, w, sigma, c), dtype=x.data.dtype)
+    for a, b in bands:
+        prod = np.matmul(field.data[a:b], hood(xp, a, b))
+        out[a:b] = prod.reshape(b - a, w, sigma, sigma, c).transpose(0, 2, 1, 3, 4)
+
+    def grad_fn(g):  # a constant input gets no gradient
+        xp = _pad_hw(x.data, r)
+        g5 = g.reshape(h, sigma, w, sigma, c)
+        gf = np.empty_like(field.data) if field.requires_grad else None
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for a, b in reversed(bands):  # see the docstring for why bottom-up
+            gprod = np.ascontiguousarray(g5[a:b].transpose(0, 2, 1, 3, 4)).reshape(b - a, w, s2, c)
+            if gf is not None:
+                np.matmul(gprod, np.swapaxes(hood(xp, a, b), -1, -2), out=gf[a:b])
+            if gxp is not None:
+                ghood = np.matmul(np.swapaxes(field.data[a:b], -1, -2), gprod)
+                for i in range(k):
+                    for j in range(k):
+                        gxp[a + i : b + i, j : j + w] += ghood[:, :, i * k + j]
+        return None if gxp is None else np.ascontiguousarray(gxp[r : r + h, r : r + w]), gf
+
+    return _emit("reassemble", (x, field), out.reshape(sigma * h, sigma * w, c), grad_fn)
 
 
 def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:

@@ -187,6 +187,45 @@ def reassemble_naive(x, field, sigma, k_up):
     return out
 
 
+def im2col_taps(x, k, stride=1, padding=0):
+    """Gather k x k neighborhoods [..., H,W,C] -> [..., H',W',k*k,C] with one
+    strided copy per kernel tap; tap i*k + j starts at row i, column j."""
+    *lead, h, w, c = x.shape
+    xp = np.pad(x, [(0, 0)] * len(lead) + [(padding, padding), (padding, padding), (0, 0)])
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    out = np.empty((*lead, ho, wo, k * k, c), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            out[..., i * k + j, :] = xp[..., i : i + stride * ho : stride, j : j + stride * wo : stride, :]
+    return out
+
+
+def reassemble_composition(x, field, g):
+    """CARAFE reassembly as patches -> batched matmul -> pixel_shuffle, with
+    the backward of each step, in plain numpy.
+
+    x [H,W,C], source-major field [H,W,sigma^2,k^2], upstream gradient g
+    [sigma*H, sigma*W, C]; returns (out, dx, dfield).  Each step is the numpy
+    call the composed tape ran, so a fused reassembly that computes the same
+    per-pixel products and adds the taps of dx in the same order agrees with
+    it bitwise."""
+    h, w, c = x.shape
+    s2, k2 = field.shape[2:]
+    sigma, k = int(round(s2**0.5)), int(round(k2**0.5))
+    r = k // 2
+    hood = im2col_taps(x, k, padding=r)  # [H, W, k^2, C]
+    prod = np.matmul(field, hood)  # [H, W, sigma^2, C]
+    out = np.ascontiguousarray(prod.reshape(h, w, sigma, sigma, c).transpose(0, 2, 1, 3, 4)).reshape(sigma * h, sigma * w, c)
+    gprod = np.ascontiguousarray(g.reshape(h, sigma, w, sigma, c).transpose(0, 2, 1, 3, 4)).reshape(h, w, s2, c)
+    dfield = np.matmul(gprod, np.swapaxes(hood, -1, -2))
+    ghood = np.matmul(np.swapaxes(field, -1, -2), gprod)
+    gxp = np.zeros((h + 2 * r, w + 2 * r, c), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[i : i + h, j : j + w, :] += ghood[:, :, i * k + j, :]
+    return out, gxp[r : r + h, r : r + w, :], dfield
+
+
 def upsample_bilinear_naive(x, factor):
     """Bilinear upsampling of x [H,W,C] as a sum over the four corners of each
     output pixel's source cell (half-pixel centres, edges clamped)."""

@@ -1,8 +1,10 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from cswin_seg import tensor as T
 from cswin_seg.carafe import (
     KernelPredictorParams,
     UpsampleConfig,
@@ -15,7 +17,7 @@ from cswin_seg.gradcheck import check_gradients
 from cswin_seg.initializers import seeded
 from cswin_seg.tensor import Tape, Tensor, backward, tsum
 
-from oracles import reassemble_naive, source_major
+from oracles import reassemble_composition, reassemble_naive, source_major
 
 
 class TestConfig:
@@ -163,6 +165,116 @@ class TestReassemble:
             tracemalloc.stop()
         assert x.grad is not None and field.grad is not None
         assert peak < upsampled_hood_bytes, (peak, upsampled_hood_bytes)
+
+
+def _reassemble_entry(x, field):
+    """The single tape entry of a taped fused reassembly: (output, grad_fn)."""
+    with Tape() as tape:
+        y = T.reassemble(x, field)
+    (inputs, out, grad_fn, op), = tape.entries
+    assert op == "reassemble" and inputs == (x, field) and out is y
+    return y, grad_fn
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every numpy array an object holds: through Tensors, tuples, lists and
+    the closure cells of functions."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, Tensor):
+        return _reachable_arrays(obj.data, seen)
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _reachable_arrays(item, seen)]
+    if isinstance(obj, types.FunctionType):
+        return [a for cell in obj.__closure__ or () for a in _reachable_arrays(cell.cell_contents, seen)]
+    return []
+
+
+class TestFusedReassembly:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("sigma", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("band_rows", [None, 2])
+    def test_bitwise_equal_to_composition(self, monkeypatch, dtype, sigma, k, band_rows):
+        # a 7 x 5 map; two-row bands split its 7 rows as 1, 2, 2, 2
+        rng = np.random.default_rng(9)
+        h, w, c = 7, 5, 3
+        row_bytes = w * k * k * c * np.dtype(T.DTYPES[dtype]).itemsize
+        if band_rows:
+            monkeypatch.setattr(T, "_BAND_BYTES", band_rows * row_bytes)
+            assert len(T._row_bands(h, row_bytes)) == 4
+        x = Tensor(rng.uniform(-1, 1, (h, w, c)), dtype=dtype, requires_grad=True)
+        field = Tensor(rng.uniform(0, 1, (h, w, sigma * sigma, k * k)), dtype=dtype, requires_grad=True)
+        g = rng.uniform(-1, 1, (sigma * h, sigma * w, c)).astype(x.data.dtype)
+        y, grad_fn = _reassemble_entry(x, field)
+        gx, gfield = grad_fn(g)
+        want, want_gx, want_gfield = reassemble_composition(x.data, field.data, g)
+        for got, ref in ((y.data, want), (gx, want_gx), (gfield, want_gfield)):
+            assert got.dtype == x.data.dtype and got.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("constant", ["x", "field"])
+    def test_constant_input_gets_no_gradient(self, monkeypatch, constant):
+        monkeypatch.setattr(T, "_BAND_BYTES", 3 * 6 * 25 * 2 * 4)  # three-row bands over 8 rows
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.uniform(-1, 1, (8, 6, 2)), dtype="f32", requires_grad=constant != "x")
+        field = Tensor(rng.uniform(0, 1, (8, 6, 4, 25)), dtype="f32", requires_grad=constant != "field")
+        g = rng.uniform(-1, 1, (16, 12, 2)).astype(np.float32)
+        _, grad_fn = _reassemble_entry(x, field)
+        gx, gfield = grad_fn(g)
+        _, want_gx, want_gfield = reassemble_composition(x.data, field.data, g)
+        if constant == "x":
+            assert gx is None
+            np.testing.assert_array_equal(gfield, want_gfield)
+        else:
+            assert gfield is None
+            np.testing.assert_array_equal(gx, want_gx)
+
+    def test_rejects_mismatched_field(self):
+        x = Tensor(np.zeros((4, 3, 2)))
+        for shape in ((4, 3, 4, 4), (4, 3, 3, 9), (4, 2, 4, 9), (4, 3, 9), (4, 3, 4, 9, 1)):
+            with pytest.raises(DimensionError):
+                T.reassemble(x, Tensor(np.zeros(shape)))
+        with pytest.raises(DimensionError):
+            T.reassemble(x, Tensor(np.zeros((4, 3, 4, 9)), dtype="f32"))
+
+    def test_entry_keeps_no_source_neighborhood(self):
+        # the tape holds x, the field and the output; the [H, W, k^2, C]
+        # neighborhoods do not stay for backward
+        rng = np.random.default_rng(11)
+        h, w, c, sigma, k = 6, 5, 3, 2, 5
+        cfg = UpsampleConfig(sigma=sigma, k_up=k)
+        x = Tensor(rng.uniform(-1, 1, (h, w, c)), dtype="f32", requires_grad=True)
+        field = Tensor(rng.uniform(0, 1, (h, w, sigma * sigma, k * k)), dtype="f32", requires_grad=True)
+        with Tape() as tape:
+            reassemble(x, field, cfg)
+        held = [a.size for entry in tape.entries for a in _reachable_arrays(entry[:3])]
+        assert h * w * k * k * c not in held
+        assert h * w * sigma * sigma * c in held  # the output: the walk does reach the entries' arrays
+
+    def test_taped_peak_below_source_neighborhood(self):
+        # forward and backward gather the neighborhoods band by band, so a
+        # taped reassembly never holds all [H, W, k^2, C] of them at once
+        rng = np.random.default_rng(12)
+        h, c, sigma, k = 96, 64, 2, 5
+        cfg = UpsampleConfig(sigma=sigma, k_up=k)
+        x = Tensor(rng.uniform(-1, 1, (h, h, c)), dtype="f32", requires_grad=True)
+        field = Tensor(rng.uniform(0, 1, (h, h, sigma * sigma, k * k)), dtype="f32", requires_grad=True)
+        hood_bytes = h * h * k * k * c * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tsum(reassemble(x, field, cfg))
+            backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and field.grad is not None
+        assert peak < hood_bytes, f"peak {peak / 2**20:.1f} MiB, neighborhoods {hood_bytes / 2**20:.1f} MiB"
 
 
 class TestGradients:

@@ -79,6 +79,16 @@ class TestConfig:
             NetworkConfig.load(p)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("stripe_widths", (0, 2, 7, 7)), ("stripe_widths", (-1, 2, 7, 7)), ("carafe_k_up", 4),
+         ("carafe_k_encoder", 2), ("carafe_c_mid", 0)],
+    )
+    def test_size_rejected_by_name_before_use(self, field, value):
+        # each would otherwise divide by zero, or pass until Model.create
+        with pytest.raises(ConfigError, match=field):
+            NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize(
         "field,value",
         [("embed_dim", "8"), ("input_size", 64.0), ("mlp_ratio", True), ("depths", 4),
          ("heads", [2, 2, "4", 4]), ("lepe_enabled", 1), ("upsampler", None)],
@@ -310,6 +320,40 @@ class TestTapeBudget:
         # scores, scaled scores or key transposes
         _, held = _taped_step(default_config())
         assert held <= 300 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+
+
+def _step_memory(cfg):
+    """One taped Dice+CE step: the bytes tracemalloc holds after the forward,
+    and its peak during backward."""
+    model = Model.create(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    s = cfg.input_size
+    img = Tensor(rng.uniform(0, 1, (s, s, 3)).astype(np.float32))
+    labels = rng.integers(0, cfg.num_classes, (s, s))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = combined_loss(model.forward(img), labels, LossConfig())[0]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+class TestFusedReassemblyBudget:
+    # CARAFE reassembly is one entry that keeps x and the kernel field, not
+    # the [H, W, k_up^2, C] neighborhoods or the unshuffled product
+    def test_entry_counts(self):
+        assert len(_taped_step(tiny_config())[0].entries) <= 325
+        assert len(_taped_step(default_config())[0].entries) <= 770
+
+    def test_default_step_memory(self):
+        held, peak = _step_memory(default_config())
+        assert held <= 240 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+        assert peak <= 265 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestCounting:

@@ -15,6 +15,7 @@ from oracles import (
     conv2d_naive,
     depthwise_conv2d_naive,
     gelu_naive,
+    im2col_taps,
     layer_norm_naive,
     softmax_naive,
     upsample_bilinear_naive,
@@ -347,6 +348,16 @@ class TestDepthwiseConv2d:
         np.testing.assert_array_equal(y.data, want.data)
         np.testing.assert_array_equal(gx, x.grad)
         np.testing.assert_array_equal(gw, w.grad)
+
+
+class TestPatches:
+    @pytest.mark.parametrize("lead, k, stride, padding", [((), 1, 1, 0), ((), 3, 1, 1), ((2,), 3, 2, 1), ((), 5, 1, 2), ((2, 3), 7, 4, 2)])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gather_equals_one_copy_per_tap(self, lead, k, stride, padding, dtype):
+        x = np.random.default_rng(17).uniform(-1, 1, (*lead, 9, 8, 3)).astype(T.DTYPES[dtype])
+        got = T.patches(Tensor(x), k, k, stride=stride, padding=padding).data
+        assert got.flags["C_CONTIGUOUS"] and got.dtype == x.dtype
+        np.testing.assert_array_equal(got, im2col_taps(x, k, stride, padding))
 
 
 class TestStructural:
