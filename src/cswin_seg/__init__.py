@@ -15,7 +15,8 @@ from .metrics import MetricsReport, dsc, evaluate_masks, hausdorff, se_sp_acc
 from .network import Model, NetworkConfig, default_config, tiny_config
 from .optim import SGD, OptimizerConfig
 from .tensor import Tape, Tensor, backward
-from .train import augment, combined_loss, evaluate_model, train
+# train() is not re-exported: the name would shadow the cswin_seg.train module
+from .train import augment, combined_loss, evaluate_model
 
 __all__ = [
     "AttentionConfig",
@@ -58,6 +59,5 @@ __all__ = [
     "snapshot",
     "synth_generate",
     "tiny_config",
-    "train",
 ]
 __version__ = "0.1.0"

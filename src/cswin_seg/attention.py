@@ -2,18 +2,22 @@
 
 The feature map is cut into non-overlapping stripes of width ``sw``; half
 of the attention heads attend inside horizontal stripes (sw x W tokens),
-the other half inside vertical stripes (H x sw tokens).  Each group is one
-batched attention: a single projection gives the queries, keys and values
-of all its heads; heads and stripes share the leading axis of one fused
-``tensor.attention`` entry (scores, softmax and value product).  The
-vertical group runs on the transposed map, where its stripes are rows.
-Head outputs are concatenated channel-wise (horizontal heads first) and
-fused by a square output projection, so the block keeps its (H, W, C) shape.
+the other half inside vertical stripes (H x sw tokens).  The whole layer is
+one ``tensor.stripe_attention`` entry: per group, a single projection gives
+the queries, keys and values of all its heads, and heads and stripes share
+the leading axis of one batched attention (scores, softmax and value
+product).  The vertical group runs on the transposed map, where its stripes
+are rows.  Head outputs are merged channel-wise (horizontal heads first)
+and fused by a square output projection, so the block keeps its (H, W, C)
+shape.
 
 Optionally each head adds a locally-enhanced positional term: a 3x3
 depthwise convolution of its value map, applied inside the stripe.  With
 it disabled the attention carries no positional information and is
 permutation-equivariant within a stripe.
+
+A block is six tape entries: layer_norm, stripe_attention, add, layer_norm,
+mlp, add.  Each keeps only what its gradient reads.
 """
 
 from __future__ import annotations
@@ -25,20 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .initializers import ParamSource, ones, trunc_normal, zeros
-from .tensor import (
-    Tensor,
-    add,
-    attention,
-    concat,
-    depthwise_conv2d,
-    gelu,
-    layer_norm,
-    linear,
-    matmul,
-    permute,
-    reshape,
-    split,
-)
+from .tensor import Tensor, add, layer_norm, mlp, stripe_attention
+
 
 @dataclass
 class AttentionConfig:
@@ -62,56 +54,22 @@ class AttentionConfig:
         return self.channels // self.heads
 
 
-def _stripe_group(plane: Tensor, wqkv: Tensor, lepe: Optional[Tensor], sw: int) -> Tensor:
-    """One head group attending inside stripes of sw rows of plane [P,Q,C].
-
-    wqkv [1, 3n, C, d] holds the n query heads, then the n key heads, then
-    the n value heads; lepe is [n, 1, 3, 3, d] or None.  Heads and stripes
-    share the leading batch axis, head-major.  Returns [n, P, Q, d].
-    """
-    p, q, c = plane.shape
-    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
-    m = p // sw
-    qkv = reshape(matmul(reshape(plane, (p * q, c)), wqkv), (3, n * m, sw * q, d))  # q|k|v, head x stripe, token
-    y = reshape(attention(qkv), (n, p, q, d))
-    if lepe is not None:
-        v = reshape(split(qkv, [2, 1], axis=0)[1], (n, m, sw, q, d))  # each stripe in its own geometry
-        y = add(y, reshape(depthwise_conv2d(v, lepe, padding=lepe.shape[2] // 2), (n, p, q, d)))
-    return y
-
-
 def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
     """Two-group stripe attention with output projection; (H,W,C) -> (H,W,C)."""
     h, w, c = x.shape
     if c != config.channels:
         raise DimensionError(f"input has {c} channels, config says {config.channels}")
-    sw, half = config.sw, config.heads // 2
     for direction, extent in (("horizontal", h), ("vertical", w)):
-        if extent % sw:
-            raise ConfigError(f"stripe width {sw} does not divide {direction} extent {extent}")
-    w_h, w_v = split(params.wqkv, [1, 1], axis=0)
-    k_h = k_v = None
-    if params.lepe is not None:
-        l_h, l_v = split(params.lepe, [1, 1], axis=0)
-        k_h = reshape(l_h, (half, 1) + l_h.shape[2:])
-        # the vertical group runs on the transposed map, so its kernels transpose too
-        k_v = reshape(permute(l_v, (0, 1, 3, 2, 4)), (half, 1) + l_h.shape[2:])
-    y_h = _stripe_group(x, w_h, k_h, sw)  # [N/2, H, W, d]
-    y_v = _stripe_group(permute(x, (1, 0, 2)), w_v, k_v, sw)  # [N/2, W, H, d]
-    grouped = concat([permute(y_h, (1, 2, 0, 3)), permute(y_v, (2, 1, 0, 3))], axis=2)  # [H, W, N, d]
-    out = matmul(reshape(grouped, (h * w, c)), params.wo)
-    return reshape(out, (h, w, c))
+        if extent % config.sw:
+            raise ConfigError(f"stripe width {config.sw} does not divide {direction} extent {extent}")
+    return stripe_attention(x, params.wqkv, params.wo, params.lepe, config.sw)
 
 
 def cswin_block(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
     """Pre-norm transformer block: attention residual, then MLP residual."""
-    h, w, c = x.shape
-    attn = cswin_attention(layer_norm(x, params.ln1_g, params.ln1_b), params, config)
-    x = add(x, attn)
+    x = add(x, cswin_attention(layer_norm(x, params.ln1_g, params.ln1_b), params, config))
     y = layer_norm(x, params.ln2_g, params.ln2_b)
-    y = reshape(y, (h * w, c))
-    y = linear(gelu(linear(y, params.mlp_w1, params.mlp_b1)), params.mlp_w2, params.mlp_b2)
-    return add(x, reshape(y, (h, w, c)))
+    return add(x, mlp(y, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2))
 
 
 def _per_head(kinds: int):

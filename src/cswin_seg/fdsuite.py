@@ -77,10 +77,6 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     w = _weighted(rng, (4, 8), 0.05)
     run("layer_norm", lambda: w(T.layer_norm(xn, gam, bet)), [("x", xn), ("gamma", gam), ("beta", bet)])
 
-    xg = _probe(rng, (9,))
-    w = _weighted(rng, (9,), 0.2)
-    run("gelu", lambda: w(T.gelu(xg)), [("x", xg)])
-
     xc = _probe(rng, (6, 6, 2))
     wc = _probe(rng, (3, 3, 2, 4))
     bc = _probe(rng, (4,))
@@ -91,25 +87,14 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
         [("x", xc), ("w", wc), ("b", bc)],
     )
 
-    xd = _probe(rng, (5, 5, 3))
-    wd = _probe(rng, (3, 3, 3))
-    w = _weighted(rng, (5, 5, 3))
-    run("depthwise_conv2d", lambda: w(T.depthwise_conv2d(xd, wd, padding=1)), [("x", xd), ("w", wd)])
-
-    xp = _probe(rng, (4, 5, 3))
-    w = _weighted(rng, (4, 5, 9, 3))
-    run("patches", lambda: w(T.patches(xp, 3, 3, padding=1)), [("x", xp)])
-
     xt = _probe(rng, (3, 4, 2))
-    w = _weighted(rng, (2, 12))
+    w = _weighted(rng, (4, 12))
 
     def structural():
-        y = T.permute(xt, (2, 0, 1))
-        y = T.reshape(y, (2, 12))
-        lo, hi = T.split(y, [5, 7], axis=1)
-        return w(T.concat([lo, hi], axis=1))
+        y = T.reshape(T.permute(xt, (2, 0, 1)), (2, 12))
+        return w(T.concat([y, T.reshape(xt, (2, 12))], axis=0))
 
-    run("permute_reshape_split_concat", structural, [("x", xt)])
+    run("permute_reshape_concat", structural, [("x", xt)])
 
     mb, ma = _probe(rng, (2, 3, 9, 2)), _probe(rng, (2, 3, 4, 9))  # b before a: later entries depend on this draw order
     w = _weighted(rng, (2, 3, 4, 2))
@@ -168,25 +153,18 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     lc = _probe(rng, (4, 4, 3))
     run("cross_entropy_loss", lambda: cross_entropy_loss(lc, labels), [("logits", lc)])
 
-    xli, wli, bli = _probe(rng, (2, 3, 4)), _probe(rng, (4, 5)), _probe(rng, (5,))
+    xml = _probe(rng, (2, 3, 4))
+    w1, b1, w2, b2 = _probe(rng, (4, 6)), _probe(rng, (6,)), _probe(rng, (6, 5)), _probe(rng, (5,))
     w = _weighted(rng, (2, 3, 5))
-    run("linear", lambda: w(T.linear(xli, wli, bli)), [("x", xli), ("w", wli), ("b", bli)])
+    run(
+        "mlp",
+        lambda: w(T.mlp(xml, w1, b1, w2, b2)),
+        [("x", xml), ("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)],
+    )
 
     a2, bb3 = _probe(rng, (5, 3)), _probe(rng, (2, 4, 3, 2))
     w = _weighted(rng, (2, 4, 5, 2))
     run("matmul_2d_batched", lambda: w(T.matmul(a2, bb3)), [("a", a2), ("b", bb3)])
-
-    xpb = _probe(rng, (2, 5, 4, 2))
-    w = _weighted(rng, (2, 3, 2, 9, 2))
-    run("patches_batched", lambda: w(T.patches(xpb, 3, 3, stride=2, padding=1)), [("x", xpb)])
-
-    xdb, wdb = _probe(rng, (2, 3, 4, 3, 2)), _probe(rng, (2, 1, 3, 3, 2))
-    w = _weighted(rng, (2, 3, 4, 3, 2))
-    run("depthwise_conv2d_batched", lambda: w(T.depthwise_conv2d(xdb, wdb, padding=1)), [("x", xdb), ("w", wdb)])
-
-    qkv = _probe(rng, (3, 2, 5, 3))
-    w = _weighted(rng, (2, 5, 3))
-    run("attention", lambda: w(T.attention(qkv)), [("qkv", qkv)])
 
     xcr, wcr, bcr = _probe(rng, (5, 6, 2)), _probe(rng, (2, 3, 2, 3)), _probe(rng, (3,))
     w = _weighted(rng, (3, 3, 3))
@@ -195,6 +173,20 @@ def run_suite(*, full: bool = False, h: float = 1e-5, tol: float = 1e-4, seed: i
     xra, fra = _probe(rng, (4, 3, 2)), _probe(rng, (4, 3, 4, 9))
     w = _weighted(rng, (8, 6, 2))
     run("reassemble", lambda: w(T.reassemble(xra, fra)), [("x", xra), ("field", fra)])
+
+    # 4 heads, two per group, on a map whose sides differ, so a mix-up of the
+    # two groups' geometries shows
+    for sw in (1, 2):
+        for lepe_on in (False, True):
+            xsa, wqkv, wo = _probe(rng, (4, 6, 8)), _probe(rng, (2, 6, 8, 2)), _probe(rng, (8, 8))
+            lepe = _probe(rng, (2, 2, 3, 3, 2)) if lepe_on else None
+            w = _weighted(rng, (4, 6, 8))
+            named = [("x", xsa), ("wqkv", wqkv), ("wo", wo)] + ([("lepe", lepe)] if lepe_on else [])
+            run(
+                f"stripe_attention_sw{sw}" + ("_lepe" if lepe_on else ""),
+                lambda: w(T.stripe_attention(xsa, wqkv, wo, lepe, sw)),
+                named,
+            )
 
     if full:
         results.append(end_to_end_check(h=h, tol=tol, seed=seed))

@@ -10,32 +10,35 @@ is active the primitives run as plain numpy code, so inference costs no
 bookkeeping.
 
 Design notes:
-  * gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-  * conv2d is one primitive: a patch gather (im2col) feeding one matmul;
-    depthwise_conv2d is one primitive over the same gather.
-  * attention is one primitive over a stacked [3, B, L, d] projection.
+  * mlp's gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+  * conv2d is one primitive: a patch gather (im2col) feeding one matmul.
+  * A CSWin block is six entries: layer_norm, stripe_attention (both stripe
+    groups, their projections, LePE, head merge and output projection), add,
+    layer_norm, mlp (both linears and gelu), add.
   * CARAFE reassembly is one primitive, ``reassemble``; the rest of the
     upsampler (``carafe.py``) is core ops.  Bilinear upsampling is a
     composition: two ``matmul``s against fixed interpolation matrices.
-  * The im2col gather behind patches, conv2d, depthwise_conv2d and reassemble
-    is one copy out of a ``sliding_window_view`` of the zero-padded input.
+  * The im2col gather behind conv2d, reassemble and the LePE term is one
+    copy out of a ``sliding_window_view`` of the zero-padded input.
   * Forward ops never check for NaN/Inf; ``backward`` validates the loss
     and names the first op with a non-finite output.
-  * The tape keeps only what a gradient reads.  Each entry holds its inputs,
-    its output and a closure over the arrays its gradient needs; gelu keeps
-    only its input and recomputes tanh, patches keeps only the padded shape,
-    linear and conv2d add their bias in place so no pre-bias product is kept,
-    conv2d and depthwise_conv2d keep their im2col, attention keeps only
-    the L x L probabilities, and reassemble keeps only its inputs: backward
-    gathers the neighborhoods again, one band of rows at a time.
-    ``reshape`` returns a view (all tensor data is C-contiguous).
-    ``backward`` pops each entry once its gradient has run, so activations
-    are freed as the reverse walk passes them instead of when it returns.
-  * gelu, layer_norm and softmax compute in place: forward and backward each
-    allocate their output and at most two scratch arrays, and write only into
+  * The tape keeps only what a gradient reads, and backward rebuilds what is
+    cheap to rebuild.  Each entry holds its inputs, its output and a closure
+    over the arrays its gradient needs: conv2d keeps its im2col and adds its
+    bias in place; layer_norm keeps its per-row mean and 1/std, not x-hat;
+    mlp keeps its pre-activation, not gelu's output; stripe_attention keeps
+    each group's q|k|v and probabilities and the merged heads, and transposes
+    the map and gathers the LePE neighborhoods again; reassemble keeps only
+    its inputs and gathers again, one band of rows at a time.  ``reshape``
+    returns a view (all tensor data is C-contiguous).  ``backward`` pops each
+    entry once its gradient has run, so activations are freed as the reverse
+    walk passes them instead of when it returns.
+  * layer_norm, softmax, mlp and stripe_attention compute in place: they
+    allocate their results and a few scratch arrays and write only into
     those, never into the upstream gradient (it may be a view shared with
     another op's gradient).  They keep the order of operations of the plain
-    expressions, so results are bitwise equal to them.
+    expressions, or of the composition they replaced, so they are bitwise
+    equal to them.
   * Freed memory stays in the process.  glibc returns blocks above its mmap
     threshold to the kernel when they are freed and trims the top of the heap,
     so each taped step would fault its activations in again, page by page.
@@ -313,35 +316,6 @@ def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation.  Backward recomputes tanh from the input
-    rather than keeping it."""
-    xd = x.data
-    out = np.multiply(xd, 0.5)
-    t = _gelu_tanh(xd)
-    t += 1.0
-    out *= t  # (0.5*x) * (1 + t)
-
-    def grad_fn(g):
-        t = _gelu_tanh(xd)
-        s = np.multiply(t, t)
-        np.subtract(1.0, s, out=s)
-        dx = np.multiply(xd, 0.5)
-        dx *= s  # (0.5*x) * (1 - t*t)
-        np.multiply(xd, 3.0 * _GELU_A, out=s)
-        s *= xd
-        s += 1.0
-        s *= _GELU_C  # du = C * (1 + 3A*x*x)
-        dx *= s
-        t += 1.0
-        t *= 0.5
-        dx += t  # 0.5*(1 + t) + (0.5*x)*(1 - t*t)*du
-        dx *= g
-        return (dx,)
-
-    return _emit("gelu", (x,), out, grad_fn)
-
-
 # -- reductions ----------------------------------------------------------------
 
 
@@ -399,23 +373,6 @@ def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
     return _emit("concat", tuple(ts), out, grad_fn)
 
 
-def split(x: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    """Split into consecutive chunks of the given sizes (must cover the axis)."""
-    if sum(sizes) != x.shape[axis]:
-        raise DimensionError(f"split: sizes {list(sizes)} do not cover axis of extent {x.shape[axis]}")
-    offsets = np.cumsum(sizes)[:-1]
-    parts = np.split(x.data, offsets, axis=axis)
-    outs = []
-    for i, p in enumerate(parts):
-        def grad_fn(g, i=i):
-            full = np.zeros_like(x.data)
-            np.split(full, offsets, axis=axis)[i][...] = g  # the chunk is a view of full
-            return (full,)
-
-        outs.append(_emit("split", (x,), np.ascontiguousarray(p), grad_fn))
-    return outs
-
-
 # -- linear algebra ------------------------------------------------------------
 
 
@@ -448,21 +405,54 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), out, grad_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x [..., Cin] @ w [Cin, Cout] + b [Cout] as one primitive: the bias is
-    added in place, so the tape keeps no pre-bias product."""
-    _check_dtypes("linear", x, w, b)
-    if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise DimensionError(f"linear needs [..., Cin] @ [Cin, Cout] + [Cout], got {x.shape} @ {w.shape} + {b.shape}")
-    out = np.matmul(x.data, w.data)
-    out += b.data
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis: x [..., C] -> [..., Cout].
+
+    One primitive; both biases are added in place.  The entry keeps the
+    pre-activation h = x @ w1 + b1, not gelu(h): backward computes tanh once
+    and uses it for gelu(h), which w2's gradient reads, and for gelu's
+    derivative."""
+    _check_dtypes("mlp", x, w1, b1, w2, b2)
+    ok = x.ndim >= 1 and w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:] and b2.shape == w2.shape[1:]
+    if not ok or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]:
+        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2))
+        raise DimensionError(f"mlp needs [..., C], [C, Ch], [Ch], [Ch, Cout], [Cout], got {shapes}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    h = np.matmul(x2, w1.data)
+    h += b1.data
+    a = np.multiply(h, 0.5)
+    t = _gelu_tanh(h)
+    t += 1.0
+    a *= t  # gelu(h) = (0.5*h) * (1 + t)
+    del t
+    out = np.matmul(a, w2.data)
+    out += b2.data
 
     def grad_fn(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gw = x.data.reshape(-1, x.shape[-1]).T @ g2
-        return np.matmul(g, w.data.T), gw, g2.sum(axis=0)
+        t = _gelu_tanh(h)
+        s = np.multiply(t, t)
+        np.subtract(1.0, s, out=s)
+        t += 1.0
+        a = np.multiply(h, 0.5)
+        a *= t  # gelu(h), as in the forward
+        gw2 = a.T @ g2
+        ga = np.matmul(g2, w2.data.T)
+        dh = np.multiply(h, 0.5, out=a)
+        dh *= s  # (0.5*h) * (1 - t*t)
+        np.multiply(h, 3.0 * _GELU_A, out=s)
+        s *= h
+        s += 1.0
+        s *= _GELU_C  # du = C * (1 + 3A*h*h)
+        dh *= s
+        t *= 0.5
+        dh += t  # 0.5*(1 + t) + (0.5*h)*(1 - t*t)*du
+        dh *= ga
+        del t, s, ga
+        gx = np.matmul(dh, w1.data.T).reshape(x.shape)
+        return gx, x2.T @ dh, dh.sum(axis=0), gw2, g2.sum(axis=0)
 
-    return _emit("linear", (x, w, b), out, grad_fn)
+    return _emit("mlp", (x, w1, b1, w2, b2), out.reshape(x.shape[:-1] + out.shape[1:]), grad_fn)
 
 
 # -- normalization and attention scalars ---------------------------------------
@@ -486,44 +476,47 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit("softmax", (x,), y, grad_fn)
 
 
-def attention(qkv: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v of a stacked [3, B, L, d] projection -> [B, L, d].
-
-    Scores are scaled and normalized in place: the entry keeps q, k, v (views
-    of the input) and the probabilities; its gradient is one array like qkv."""
-    if qkv.ndim != 4 or qkv.shape[0] != 3 or qkv.shape[2] == 0:
-        raise DimensionError(f"attention expects a stacked [3, B, L, d] projection, got {qkv.shape}")
-    q, k, v = qkv.data
-    scale = qkv.data.dtype.type(1.0 / np.sqrt(qkv.shape[3]))
+def _attend(qkv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q k^T / sqrt(d)) v of a stacked [3, B, L, d] projection: the
+    [B, L, d] output and the [B, L, L] probabilities.  Scores are scaled and
+    normalized in place."""
+    q, k, v = qkv
     p = np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
-    p *= scale
+    p *= qkv.dtype.type(1.0 / np.sqrt(qkv.shape[3]))
     p -= p.max(axis=-1, keepdims=True)  # softmax over keys, max-shifted
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
+    return np.matmul(p, v), p
 
-    def grad_fn(g):
-        gqkv = np.empty_like(qkv.data)
-        gs = np.matmul(g, np.swapaxes(v, -1, -2))
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        np.matmul(gs, k, out=gqkv[0])
-        gqkv[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
-        np.matmul(np.swapaxes(p, -1, -2), g, out=gqkv[2])
-        return (gqkv,)
 
-    return _emit("attention", (qkv,), np.matmul(p, v), grad_fn)
+def _attend_backward(qkv: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``_attend`` for the output gradient g [B, L, d]: one
+    array like qkv."""
+    q, k, v = qkv
+    gqkv = np.empty_like(qkv)
+    gs = np.matmul(g, np.swapaxes(v, -1, -2))
+    gs -= (gs * p).sum(axis=-1, keepdims=True)
+    gs *= p
+    gs *= qkv.dtype.type(1.0 / np.sqrt(qkv.shape[3]))
+    np.matmul(gs, k, out=gqkv[0])
+    gqkv[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
+    np.matmul(np.swapaxes(p, -1, -2), g, out=gqkv[2])
+    return gqkv
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The entry keeps the input and the per-row mean and 1/std ([..., 1]
+    arrays); backward rebuilds x-hat from them in two passes."""
     c = x.shape[-1]
     if c == 0:
         raise DimensionError("layer_norm over zero channels")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
     _check_dtypes("layer_norm", x, gamma, beta)
-    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))
+    mean = x.data.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x.data, mean)
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
@@ -531,6 +524,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out += beta.data
 
     def grad_fn(g):
+        xhat = np.subtract(x.data, mean)
+        xhat *= inv
         s = np.multiply(g, xhat)
         dgamma = s.reshape(-1, c).sum(axis=0)
         dbeta = g.reshape(-1, c).sum(axis=0)
@@ -586,18 +581,6 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tupl
     return out, scatter
 
 
-def patches(x: Tensor, kh: int, kw: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Gather k x k neighborhoods: [..., H,W,C] -> [..., H',W',kh*kw,C] (im2col).
-
-    Leading axes are batch axes.  Out-of-bounds positions read as zero.  The
-    gradient scatter-adds each patch slot back into the padded input.
-    """
-    if x.ndim < 3:
-        raise DimensionError(f"patches expects [..., H,W,C], got {x.shape}")
-    out, scatter = _im2col(x.data, kh, kw, stride, padding)
-    return _emit("patches", (x,), out, lambda g: (scatter(g),))
-
-
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout], bias [Cout] -> [H',W',Cout].
 
@@ -627,35 +610,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     return _emit("conv2d", (x, w, bias), out.reshape(ho, wo, cout), grad_fn)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Per-channel convolution: x [..., H,W,C], w [..., kh,kw,C] -> [..., H',W',C].
-
-    Leading axes are batch axes; those of w broadcast against those of x, so
-    batch elements may share one kernel or each have their own.  One
-    primitive: the entry keeps the im2col and a view of w, not their product.
-    """
-    if w.ndim < 3:
-        raise DimensionError(f"depthwise weight must be [..., kh,kw,C], got {w.shape}")
-    kh, kw, c = w.shape[-3:]
-    if x.ndim < 3 or x.shape[-1] != c:
-        raise DimensionError(f"depthwise_conv2d: input {x.shape} does not match weight {w.shape}")
-    _check_dtypes("depthwise_conv2d", x, w)
-    cols, scatter = _im2col(x.data, kh, kw, stride, padding)  # [..., H',W',k*k,C]
-    wk = w.data.reshape(w.shape[:-3] + (1, 1, kh * kw, c))
-    try:
-        out = (cols * wk).sum(axis=-2)
-    except ValueError as e:
-        raise DimensionError(f"depthwise_conv2d: batch axes of {x.shape} and {w.shape} do not broadcast") from e
-
-    def grad_fn(g):  # g broadcast over the kernel slots is the product's gradient
-        gp = np.broadcast_to(np.expand_dims(g, -2), g.shape[:-1] + (kh * kw, c))
-        gx = scatter(_unbroadcast(gp * wk, cols.shape)) if x.requires_grad else None
-        gw = _unbroadcast(gp * cols, wk.shape).reshape(w.shape) if w.requires_grad else None
-        return gx, gw
-
-    return _emit("depthwise_conv2d", (x, w), out, grad_fn)
-
-
 _BAND_BYTES = 4 << 20  # neighborhood bytes per reassembly band; every 64 px map fits one band
 
 
@@ -680,7 +634,7 @@ def reassemble(x: Tensor, field: Tensor) -> Tensor:
     up: tap i*k + j of source row s lands on padded row s + i, so a padded
     row takes its taps in the order i*k + j exactly when its source rows
     come in descending order.  Every result thus equals
-    patches -> matmul -> pixel_shuffle bitwise.
+    im2col -> matmul -> pixel_shuffle bitwise.
     """
     if x.ndim != 3 or field.ndim != 4 or field.shape[:2] != x.shape[:2]:
         raise DimensionError(f"reassemble expects x [H,W,C] and a field [H,W,s,k], got {x.shape} and {field.shape}")
@@ -719,6 +673,101 @@ def reassemble(x: Tensor, field: Tensor) -> Tensor:
         return None if gxp is None else np.ascontiguousarray(gxp[r : r + h, r : r + w]), gf
 
     return _emit("reassemble", (x, field), out.reshape(sigma * h, sigma * w, c), grad_fn)
+
+
+# per stripe group: the axes that take its [n, P, Q, d] head outputs to the
+# merged [H, W, n, d] layout, and back; group 1 runs on the transposed map
+_TO_MERGED = ((1, 2, 0, 3), (2, 1, 0, 3))
+_FROM_MERGED = ((2, 0, 1, 3), (2, 1, 0, 3))
+
+
+def stripe_attention(x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int) -> Tensor:
+    """Cross-shaped-window self-attention of x [H,W,C] as one primitive -> [H,W,C].
+
+    Group 0 attends inside horizontal stripes of sw rows, group 1 inside
+    vertical stripes of sw columns; group 1 runs on the transposed map, where
+    its stripes are rows.  wqkv [2, 3n, C, d] projects each group's n query
+    heads, then its keys, then its values, with n*d = C/2.  lepe [2, n, k, k, d]
+    (or None) adds a k x k depthwise convolution of each head's values inside
+    its stripe, kernels given in the (H, W) geometry.  Heads and stripes share
+    one leading batch axis, head-major.  The heads' outputs are merged
+    channel-wise, group 0 first, into [HW, C] and projected by wo [C, C].
+
+    The entry keeps each group's stacked q|k|v and probabilities and the
+    merged heads.  Backward transposes x again for group 1 and gathers the
+    LePE neighborhoods of v again.  Every gradient makes the same numpy calls
+    as the composition of matmul, attention, depthwise convolution, permute
+    and concat that this primitive replaces, so both are bitwise equal.
+    """
+    if x.ndim != 3 or wqkv.ndim != 4:
+        raise DimensionError(f"stripe_attention expects x [H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
+    h, w, c = x.shape
+    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
+    if wqkv.shape != (2, 3 * n, c, d) or 2 * n * d != c or wo.shape != (c, c):
+        raise DimensionError(f"stripe_attention: wqkv {wqkv.shape} or wo {wo.shape} do not fit C={c}")
+    if lepe is not None and (lepe.ndim != 5 or lepe.shape != (2, n, lepe.shape[2], lepe.shape[2], d) or lepe.shape[2] % 2 == 0):
+        raise DimensionError(f"stripe_attention: lepe {lepe.shape} is not [2, {n}, k, k, {d}] with k odd")
+    if sw < 1 or h % sw or w % sw:
+        raise DimensionError(f"stripe_attention: stripe width {sw} does not divide {h} x {w}")
+    inputs = (x, wqkv, wo) if lepe is None else (x, wqkv, wo, lepe)
+    _check_dtypes("stripe_attention", *inputs)
+
+    def plane(gi):  # the group's map [P, Q, C], stripes along P, flattened to [PQ, C]
+        xd = x.data if gi == 0 else np.ascontiguousarray(x.data.transpose(1, 0, 2))
+        return xd.reshape(-1, c), xd.shape[0], xd.shape[1]
+
+    def lepe_taps(qkv, gi, pp, qq):  # v's neighborhoods in each stripe and the group's kernels
+        k = lepe.shape[2]
+        v = qkv[2].reshape(n, pp // sw, sw, qq, d)
+        kern = lepe.data[gi] if gi == 0 else np.ascontiguousarray(lepe.data[gi].transpose(0, 2, 1, 3))
+        cols, scatter = _im2col(v, k, k, 1, k // 2)  # [n, m, sw, Q, k*k, d]
+        return cols, scatter, kern.reshape(n, 1, 1, 1, k * k, d)
+
+    merged = np.empty((h, w, 2 * n, d), dtype=x.data.dtype)
+    kept = []  # per group: q|k|v [3, n*m, sw*Q, d] and probabilities [n*m, sw*Q, sw*Q]
+    for gi in (0, 1):
+        xg, pp, qq = plane(gi)
+        qkv = np.matmul(xg, wqkv.data[gi : gi + 1]).reshape(3, n * (pp // sw), sw * qq, d)
+        y, prob = _attend(qkv)
+        y = y.reshape(n, pp, qq, d)
+        if lepe is not None:
+            cols, _, kern = lepe_taps(qkv, gi, pp, qq)
+            y += (cols * kern).sum(axis=-2).reshape(n, pp, qq, d)
+            del cols
+        merged[:, :, gi * n : (gi + 1) * n] = y.transpose(_TO_MERGED[gi])
+        kept.append((qkv, prob))
+    merged = merged.reshape(h * w, c)
+    out = np.matmul(merged, wo.data)
+
+    def grad_fn(g):
+        g2 = g.reshape(h * w, c)
+        gwo = np.matmul(np.swapaxes(merged, -1, -2), g2)
+        gm = np.matmul(g2, np.swapaxes(wo.data, -1, -2)).reshape(h, w, 2 * n, d)
+        gx, gw = None, np.empty_like(wqkv.data)
+        gl = None if lepe is None else np.empty_like(lepe.data)
+        for gi in (1, 0):
+            qkv, prob = kept[gi]
+            xg, pp, qq = plane(gi)
+            gy = np.ascontiguousarray(gm[:, :, gi * n : (gi + 1) * n].transpose(_FROM_MERGED[gi]))
+            gqkv = _attend_backward(qkv, prob, gy.reshape(qkv.shape[1:]))
+            if lepe is not None:
+                cols, scatter, kern = lepe_taps(qkv, gi, pp, qq)
+                gl5 = gy.reshape(cols.shape[:-2] + (d,))
+                gp = np.broadcast_to(np.expand_dims(gl5, -2), cols.shape)
+                gqkv[2] += scatter(gp * kern).reshape(gqkv.shape[1:])
+                gk = _unbroadcast(gp * cols, kern.shape).reshape(lepe.shape[1:])
+                gl[gi] = gk if gi == 0 else gk.transpose(0, 2, 1, 3)
+                del cols, gp
+            g4 = gqkv.reshape(1, 3 * n, pp * qq, d)
+            gw[gi] = np.matmul(np.swapaxes(xg, -1, -2), g4)[0]
+            if x.requires_grad:
+                axes = [0, 1, -1]  # one contraction over the heads and the head dim
+                gxg = np.tensordot(g4, wqkv.data[gi : gi + 1], axes=(axes, axes)).reshape(pp, qq, c)
+                gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(1, 0, 2))
+                gx = gxg if gx is None else gx + gxg
+        return (gx, gw, gwo) if lepe is None else (gx, gw, gwo, gl)
+
+    return _emit("stripe_attention", inputs, out.reshape(h, w, c), grad_fn)
 
 
 def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:

@@ -7,6 +7,8 @@ bug in the production path cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 
 
@@ -226,6 +228,93 @@ def reassemble_composition(x, field, g):
     return out, gxp[r : r + h, r : r + w, :], dfield
 
 
+def stripe_attention_composition(x, wqkv, wo, lepe, sw, g):
+    """Cross-shaped-window attention as the composition it was recorded as
+    before it became one primitive, with the backward of each step, in plain
+    numpy: per group a projection matmul, the stacked [3, B, L, d] attention,
+    the optional depthwise LePE convolution of v and an add; then the head
+    merge (permute, concat) and the output matmul.
+
+    x [H,W,C], wqkv [2, 3n, C, d], wo [C,C], lepe [2, n, k, k, d] or None,
+    upstream gradient g [H,W,C]; returns (out, dx, dwqkv, dwo, dlepe).  Each
+    step is the numpy call the composed tape ran, and every gradient sums its
+    contributions as the tape did (split gradients are zero-padded), so a
+    fused primitive that makes the same calls agrees with it bitwise."""
+    h, w, c = x.shape
+    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
+    scale = x.dtype.type(1.0 / np.sqrt(d))
+    to_merged, from_merged = ((1, 2, 0, 3), (2, 1, 0, 3)), ((2, 0, 1, 3), (2, 1, 0, 3))
+    groups = []
+    for gi in (0, 1):
+        plane = x if gi == 0 else np.ascontiguousarray(x.transpose(1, 0, 2))
+        pp, qq = plane.shape[:2]
+        wg = np.ascontiguousarray(wqkv[gi : gi + 1])
+        qkv = np.matmul(plane.reshape(pp * qq, c), wg).reshape(3, n * (pp // sw), sw * qq, d)
+        q, k, v = qkv
+        s = np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2))) * scale
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        y = np.matmul(p, v).reshape(n, pp, qq, d)
+        taps = None
+        if lepe is not None:
+            kk = lepe.shape[2]
+            kern = lepe[gi] if gi == 0 else np.ascontiguousarray(lepe[gi].transpose(0, 2, 1, 3))
+            cols = im2col_taps(np.ascontiguousarray(v).reshape(n, pp // sw, sw, qq, d), kk, padding=kk // 2)
+            wk = kern.reshape(n, 1, 1, 1, kk * kk, d)
+            y = y + (cols * wk).sum(axis=-2).reshape(n, pp, qq, d)
+            taps = (cols, wk)
+        groups.append((plane, wg, qkv, p, taps))
+        groups[-1] += (np.ascontiguousarray(y.transpose(to_merged[gi])),)
+    merged = np.concatenate([grp[5] for grp in groups], axis=2).reshape(h * w, c)
+    out = np.matmul(merged, wo).reshape(h, w, c)
+
+    g2 = g.reshape(h * w, c)
+    dwo = np.matmul(np.swapaxes(merged, -1, -2), g2)
+    pieces = np.split(np.matmul(g2, np.swapaxes(wo, -1, -2)).reshape(h, w, 2 * n, d), [n], axis=2)
+    dx, dwqkv, dlepe = None, None, None
+    for gi in (1, 0):  # the tape's reverse walk reaches the vertical group first
+        plane, wg, qkv, p, taps, _ = groups[gi]
+        pp, qq = plane.shape[:2]
+        gy = np.ascontiguousarray(np.ascontiguousarray(pieces[gi]).transpose(from_merged[gi]))
+        gy3 = gy.reshape(qkv.shape[1:])
+        q, k, v = qkv
+        gs = np.matmul(gy3, np.swapaxes(v, -1, -2))
+        gs = (gs - (gs * p).sum(axis=-1, keepdims=True)) * p * scale
+        gattn = np.stack([
+            np.matmul(gs, k),
+            np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2),
+            np.matmul(np.swapaxes(p, -1, -2), gy3),
+        ])
+        gqkv = gattn
+        if taps is not None:
+            cols, wk = taps
+            kk = int(round(cols.shape[-2] ** 0.5))
+            gp = np.broadcast_to(np.expand_dims(gy.reshape(cols.shape[:-2] + (d,)), -2), cols.shape)
+            gcols = gp * wk
+            r = kk // 2
+            gvp = np.zeros((n, pp // sw, sw + 2 * r, qq + 2 * r, d), dtype=x.dtype)
+            for i in range(kk):
+                for j in range(kk):
+                    gvp[:, :, i : i + sw, j : j + qq, :] += gcols[..., i * kk + j, :]
+            gsplit = np.zeros_like(qkv)
+            gsplit[2] = gvp[:, :, r : r + sw, r : r + qq, :].reshape(gsplit.shape[1:])
+            gqkv = gsplit + gattn
+            gk = (gp * cols).sum(axis=1, keepdims=True).sum(axis=2, keepdims=True).sum(axis=3, keepdims=True)
+            gk = gk.reshape((1, n, kk, kk, d))
+            gk = gk if gi == 0 else np.ascontiguousarray(gk.transpose(0, 1, 3, 2, 4))
+            full = np.zeros_like(lepe)
+            full[gi : gi + 1] = gk
+            dlepe = full if dlepe is None else dlepe + full
+        g4 = gqkv.reshape(1, 3 * n, pp * qq, d)
+        full = np.zeros_like(wqkv)
+        full[gi : gi + 1] = np.matmul(np.swapaxes(plane.reshape(pp * qq, c), -1, -2), g4)
+        dwqkv = full if dwqkv is None else dwqkv + full
+        gplane = np.tensordot(g4, wg, axes=([0, 1, -1], [0, 1, -1])).reshape(pp, qq, c)
+        gplane = gplane if gi == 0 else np.ascontiguousarray(gplane.transpose(1, 0, 2))
+        dx = gplane if dx is None else dx + gplane
+    return out, dx, dwqkv, dwo, dlepe
+
+
 def upsample_bilinear_naive(x, factor):
     """Bilinear upsampling of x [H,W,C] as a sum over the four corners of each
     output pixel's source cell (half-pixel centres, edges clamped)."""
@@ -372,3 +461,21 @@ def trunc_normal_reference(rng, shape, std):
         bad = np.abs(out) > 2 * std
         rounds += 1
     return out, rounds
+
+
+def reachable_arrays(obj, seen=None):
+    """Every numpy array an object holds: through objects with a ``data``
+    array (tensors), tuples, lists and the closure cells of functions."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(getattr(obj, "data", None), np.ndarray):
+        return reachable_arrays(obj.data, seen)
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in reachable_arrays(item, seen)]
+    if isinstance(obj, types.FunctionType):
+        return [a for cell in obj.__closure__ or () for a in reachable_arrays(cell.cell_contents, seen)]
+    return []

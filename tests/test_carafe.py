@@ -1,5 +1,4 @@
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from cswin_seg.gradcheck import check_gradients
 from cswin_seg.initializers import seeded
 from cswin_seg.tensor import Tape, Tensor, backward, tsum
 
-from oracles import reassemble_composition, reassemble_naive, source_major
+from oracles import reachable_arrays, reassemble_composition, reassemble_naive, source_major
 
 
 class TestConfig:
@@ -176,24 +175,6 @@ def _reassemble_entry(x, field):
     return y, grad_fn
 
 
-def _reachable_arrays(obj, seen=None):
-    """Every numpy array an object holds: through Tensors, tuples, lists and
-    the closure cells of functions."""
-    seen = set() if seen is None else seen
-    if id(obj) in seen:
-        return []
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return [obj]
-    if isinstance(obj, Tensor):
-        return _reachable_arrays(obj.data, seen)
-    if isinstance(obj, (tuple, list)):
-        return [a for item in obj for a in _reachable_arrays(item, seen)]
-    if isinstance(obj, types.FunctionType):
-        return [a for cell in obj.__closure__ or () for a in _reachable_arrays(cell.cell_contents, seen)]
-    return []
-
-
 class TestFusedReassembly:
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("sigma", [1, 2, 4])
@@ -252,7 +233,7 @@ class TestFusedReassembly:
         field = Tensor(rng.uniform(0, 1, (h, w, sigma * sigma, k * k)), dtype="f32", requires_grad=True)
         with Tape() as tape:
             reassemble(x, field, cfg)
-        held = [a.size for entry in tape.entries for a in _reachable_arrays(entry[:3])]
+        held = [a.size for entry in tape.entries for a in reachable_arrays(entry[:3])]
         assert h * w * k * k * c not in held
         assert h * w * sigma * sigma * c in held  # the output: the walk does reach the entries' arrays
 

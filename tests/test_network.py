@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cswin_seg import complexity
+from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_block
 from cswin_seg.errors import ConfigError, DimensionError
+from cswin_seg.initializers import seeded
 from cswin_seg.losses import LossConfig
 from cswin_seg.network import (
     ConvParams,
@@ -322,9 +324,19 @@ class TestTapeBudget:
         assert held <= 300 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
 
 
+_STEP_MEMORY: dict[str, tuple[int, int]] = {}
+
+
 def _step_memory(cfg):
     """One taped Dice+CE step: the bytes tracemalloc holds after the forward,
-    and its peak during backward."""
+    and its peak during backward.  Measured once per config."""
+    key = repr(cfg)
+    if key not in _STEP_MEMORY:
+        _STEP_MEMORY[key] = _measure_step(cfg)
+    return _STEP_MEMORY[key]
+
+
+def _measure_step(cfg):
     model = Model.create(cfg, seed=0)
     rng = np.random.default_rng(0)
     s = cfg.input_size
@@ -354,6 +366,35 @@ class TestFusedReassemblyBudget:
         held, peak = _step_memory(default_config())
         assert held <= 240 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
         assert peak <= 265 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
+
+
+class TestBlockTape:
+    # a CSWin block records layer_norm, stripe_attention, add, layer_norm,
+    # mlp, add, and each entry keeps only what its gradient reads
+    @pytest.mark.parametrize("lepe", [False, True])
+    def test_one_block_records_six_entries(self, lepe):
+        rng = np.random.default_rng(0)
+        config = AttentionConfig(heads=4, sw=2, channels=16, lepe_enabled=lepe)
+        params = CSWinBlockParams.create(seeded(rng, "f32"), "b", config)
+        x = Tensor(rng.uniform(-1, 1, (8, 8, 16)).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            cswin_block(x, params, config)
+        assert [op for *_, op in tape.entries] == ["layer_norm", "stripe_attention", "add", "layer_norm", "mlp", "add"]
+
+    def test_entry_counts(self):
+        assert len(_taped_step(tiny_config())[0].entries) <= 110
+        assert len(_taped_step(default_config())[0].entries) <= 200
+
+    def test_default_step_memory(self):
+        held, peak = _step_memory(default_config())
+        assert held <= 175 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+        assert peak <= 200 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
+
+    def test_lepe_holds_no_more(self):
+        # the LePE gathers are rebuilt in backward, not kept
+        held, _ = _step_memory(default_config())
+        held_lepe, _ = _step_memory(default_config(lepe_enabled=True))
+        assert held_lepe <= held + 2**20, f"{held_lepe / 2**20:.1f} MiB with LePE, {held / 2**20:.1f} MiB without"
 
 
 class TestCounting:

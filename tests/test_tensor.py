@@ -7,7 +7,7 @@ import pytest
 
 from cswin_seg import tensor as T
 from cswin_seg.errors import ContractError, DimensionError, FormatError, NumericError
-from cswin_seg.gradcheck import check_gradients
+from cswin_seg.gradcheck import check_gradients, numeric_grad
 from cswin_seg.tensor import Tape, Tensor, backward
 
 from oracles import (
@@ -17,7 +17,9 @@ from oracles import (
     gelu_naive,
     im2col_taps,
     layer_norm_naive,
+    reachable_arrays,
     softmax_naive,
+    stripe_attention_composition,
     upsample_bilinear_naive,
 )
 
@@ -137,10 +139,11 @@ def _entry_and_gradients(fn, inputs, g):
 
 
 class TestInPlaceElementwise:
-    """gelu, softmax and layer_norm compute in place; they must stay bitwise
-    equal to the plain expressions and write into nothing they were given:
-    not the input, not the kept output, not the upstream gradient g (passed
-    here as a strided view into a larger array, as a shared gradient may be)."""
+    """softmax and layer_norm compute in place, and so do the gelu inside mlp
+    and the attention inside stripe_attention; they must stay bitwise equal
+    to the plain expressions and write into nothing they were given: not the
+    inputs, not the kept output, not the upstream gradient g (passed here as
+    a strided view into a larger array, as a shared gradient may be)."""
 
     @staticmethod
     def _inputs(dtype, shape, seed):
@@ -156,15 +159,56 @@ class TestInPlaceElementwise:
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_gelu(self, dtype):
+        # identity weights and zero biases make mlp(x) = gelu(x) and its x
+        # gradient g * gelu'(x), both exactly: every product is by 1 or 0
         _, x, g = self._inputs(dtype, (5, 9, 37), 30)
+        eye, zero = Tensor(np.eye(37), dtype=dtype, requires_grad=True), Tensor(np.zeros(37), dtype=dtype, requires_grad=True)
         x0, g0 = x.data.copy(), g.copy()
-        y, (dx,) = _entry_and_gradients(T.gelu, (x,), g)
+        y, (dx, *_) = _entry_and_gradients(T.mlp, (x, eye, zero, eye, zero), g)
         y0 = y.copy()
         want_y, dydx = gelu_naive(x0)
         self._assert_bitwise(y, want_y)
         self._assert_bitwise(dx, g0 * dydx)
-        for got, before in ((x.data, x0), (g, g0), (y, y0)):
+        for got, before in ((x.data, x0), (g, g0), (y, y0), (eye.data, np.eye(37, dtype=x0.dtype)), (zero.data, np.zeros_like(x0[0, 0]))):
             self._assert_bitwise(got, before)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_mlp(self, dtype):
+        rng, x, g = self._inputs(dtype, (3, 7, 6), 33)
+        given = [x] + [randt(rng, shape, dtype, True) for shape in ((6, 10), (10,), (10, 5), (5,))]
+        g = g[..., :5]
+        before, g0 = [t.data.copy() for t in given], g.copy()
+        y, grads = _entry_and_gradients(T.mlp, given, g)
+        x0, w1, b1, w2, b2 = before
+        x2, g2 = x0.reshape(-1, 6), g0.reshape(-1, 5)
+        a, dadh = gelu_naive(x2 @ w1 + b1)
+        dh = (g2 @ w2.T) * dadh
+        tol = 1e-5 if dtype == "f32" else 1e-12
+        want = ((a @ w2 + b2).reshape(3, 7, 5), (dh @ w1.T).reshape(x.shape), x2.T @ dh, dh.sum(axis=0), a.T @ g2, g2.sum(axis=0))
+        for got, ref in zip((y, *grads), want):
+            assert got.dtype == x.data.dtype and got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
+        for t, ref in zip(given, before):
+            self._assert_bitwise(t.data, ref)
+        self._assert_bitwise(g, g0)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("lepe_on", [False, True])
+    @pytest.mark.parametrize("sw", [1, 2])
+    def test_stripe_attention(self, dtype, lepe_on, sw):
+        # the output and every gradient equal the composition's bitwise,
+        # computed from copies taken before the primitive ran
+        rng, x, g = self._inputs(dtype, (4, 6, 8), 34)
+        given = [x, randt(rng, (2, 6, 8, 2), dtype, True), randt(rng, (8, 8), dtype, True)]
+        given += [randt(rng, (2, 2, 3, 3, 2), dtype, True)] if lepe_on else []
+        before, g0 = [t.data.copy() for t in given], g.copy()
+        y, grads = _entry_and_gradients(lambda x, wqkv, wo, *lepe: T.stripe_attention(x, wqkv, wo, *(lepe or [None]), sw), given, g)
+        want = stripe_attention_composition(*before[:3], before[3] if lepe_on else None, sw, g0)
+        for got, ref in zip((y, *grads), want):
+            self._assert_bitwise(got, ref)
+        for t, ref in zip(given, before):
+            self._assert_bitwise(t.data, ref)
+        self._assert_bitwise(g, g0)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("axis", [-1, 0, 1])
@@ -258,114 +302,202 @@ class TestConv2d:
         np.testing.assert_array_equal(gb, gb_var)
 
 
+def _kept_sizes(grad_fn, inputs):
+    """Sizes of the arrays a gradient closure keeps beyond its inputs' data."""
+    given = [t.data for t in inputs]
+    return sorted(a.size for a in reachable_arrays(grad_fn) if not any(np.shares_memory(a, d) for d in given))
+
+
+def _stripe_inputs(rng, h, w, c, n, lepe_on, dtype="f64"):
+    """x [h,w,c], wqkv, wo and (or None) lepe for 2n heads of c/(2n) channels."""
+    d = c // (2 * n)
+    x = randt(rng, (h, w, c), dtype, True)
+    wqkv, wo = randt(rng, (2, 3 * n, c, d), dtype, True), randt(rng, (c, c), dtype, True)
+    return x, wqkv, wo, randt(rng, (2, n, 3, 3, d), dtype, True) if lepe_on else None
+
+
 class TestAttention:
+    # the kernels behind stripe_attention, and its tape entry
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(12)
         for shape in [(3, 2, 5, 4), (3, 1, 7, 3)]:
             qkv = rng.uniform(-2, 2, shape)
-            np.testing.assert_allclose(T.attention(Tensor(qkv)).data, attention_naive(qkv), rtol=0, atol=1e-12)
+            out, p = T._attend(qkv)
+            np.testing.assert_allclose(out, attention_naive(qkv), rtol=0, atol=1e-12)
+            assert p.shape == shape[1:3] + shape[2:3]
+            np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_gradient(self):
+        # the backward kernel against central differences of the forward one
         rng = np.random.default_rng(13)
         qkv = randt(rng, (3, 2, 4, 3))
-        w = Tensor(rng.uniform(-1, 1, (2, 4, 3)))
-        check_gradients(lambda: T.tsum(T.mul(T.attention(qkv), w)), [("qkv", qkv)])
+        w = rng.uniform(-1, 1, (2, 4, 3))
+        out, p = T._attend(qkv.data)
+        analytic = T._attend_backward(qkv.data, p, w)
+        assert analytic.shape == qkv.shape
+        numeric = numeric_grad(lambda: Tensor(np.sum(T._attend(qkv.data)[0] * w)), qkv, range(qkv.size))
+        np.testing.assert_allclose(analytic.reshape(-1), numeric, rtol=1e-6, atol=1e-9)
 
     def test_keeps_only_probabilities_and_gives_one_gradient(self):
-        qkv = Tensor(np.random.default_rng(14).uniform(-1, 1, (3, 2, 5, 4)), requires_grad=True)
-        with Tape() as tape:
-            y = T.attention(qkv)
-        (inputs, out, grad_fn, op), = tape.entries
-        assert op == "attention" and inputs == (qkv,) and out is y and y.shape == (2, 5, 4)
-        (g,) = grad_fn(np.ones(y.shape))
-        assert g.shape == qkv.shape
+        # one entry that keeps each group's q|k|v and probabilities and the
+        # merged heads: no transposed map, attention outputs or LePE gathers
+        h, w, c, n, sw = 4, 6, 8, 2, 2
+        d = c // (2 * n)
+        qkv, probs = 3 * h * w * n * d, [(h // sw) * n * (sw * w) ** 2, (w // sw) * n * (sw * h) ** 2]
+        for lepe_on in (False, True):
+            x, wqkv, wo, lepe = _stripe_inputs(np.random.default_rng(14), h, w, c, n, lepe_on)
+            with Tape() as tape:
+                y = T.stripe_attention(x, wqkv, wo, lepe, sw)
+            (inputs, out, grad_fn, op), = tape.entries
+            assert op == "stripe_attention" and out is y and y.shape == (h, w, c)
+            assert inputs == ((x, wqkv, wo) if lepe is None else (x, wqkv, wo, lepe))
+            assert _kept_sizes(grad_fn, inputs) == sorted([qkv, qkv, h * w * c] + probs)
+            grads = grad_fn(np.ones(y.shape))
+            assert [gi.shape for gi in grads] == [t.shape for t in inputs]
 
     def test_rejects_unstacked_input(self):
-        for bad in [(2, 1, 4, 3), (3, 4, 3), (3, 1, 0, 3)]:
-            with pytest.raises(DimensionError, match="attention"):
-                T.attention(Tensor.zeros(bad))
+        rng = np.random.default_rng(15)
+        x, wqkv, wo, lepe = _stripe_inputs(rng, 4, 4, 8, 2, True)
+        bad = [
+            (Tensor.zeros((4, 8)), wqkv, wo, None, 2),
+            (x, Tensor.zeros((3, 6, 8, 2)), wo, None, 2),
+            (x, Tensor.zeros((2, 6, 8, 3)), wo, None, 2),
+            (x, wqkv, Tensor.zeros((8, 4)), None, 2),
+            (x, wqkv, wo, Tensor.zeros((2, 2, 2, 2, 2)), 2),
+            (x, wqkv, wo, Tensor.zeros((2, 2, 3, 3, 1)), 2),
+            (x, wqkv, wo, None, 3),
+        ]
+        for args in bad:
+            with pytest.raises(DimensionError, match="stripe_attention"):
+                T.stripe_attention(*args)
+
+
+def _lepe_term(x, wqkv, lepe, sw):
+    """What the LePE kernels add to stripe attention with wo = I: the merged
+    [H, W, C] depthwise convolutions of each head's values in its stripes."""
+    eye = Tensor(np.eye(x.shape[2]), dtype=x.dtype)
+    return T.stripe_attention(x, wqkv, eye, lepe, sw).data - T.stripe_attention(x, wqkv, eye, None, sw).data
 
 
 class TestDepthwiseConv2d:
+    # the LePE term: a k x k depthwise convolution of v inside each stripe,
+    # zero outside it, through stripe_attention
     def test_center_delta_is_identity(self):
         rng = np.random.default_rng(12)
-        x = randt(rng, (4, 4, 3))
-        w = np.zeros((3, 3, 3))
-        w[1, 1, :] = 1.0
-        out = T.depthwise_conv2d(x, Tensor(w), padding=1)
-        np.testing.assert_allclose(out.data, x.data)
+        x, wqkv, _, lepe = _stripe_inputs(rng, 4, 6, 8, 2, True)
+        lepe.data[...] = 0.0
+        lepe.data[:, :, 1, 1, :] = 1.0
+        got = _lepe_term(x, wqkv, lepe, 2)
+        for gi in (0, 1):
+            for i in range(2):  # v of head i of group gi fills channels (2*gi + i)*d onwards
+                want = x.data @ wqkv.data[gi, 4 + i]
+                np.testing.assert_allclose(got[..., (2 * gi + i) * 2 : (2 * gi + i + 1) * 2], want, atol=1e-12)
 
     def test_box_filter_on_constant(self):
-        x = Tensor(np.full((5, 5, 2), 2.5))
-        w = Tensor(np.full((3, 3, 2), 1.0 / 9.0))
-        out = T.depthwise_conv2d(x, w, padding=1)
-        np.testing.assert_allclose(out.data[1:-1, 1:-1, :], 2.5, atol=1e-6)
+        # a 1/9 box filter of a constant v counts each pixel's neighbors inside
+        # its stripe: horizontal stripes cut rows, vertical stripes columns
+        h, w, sw = 6, 6, 3
+        rng = np.random.default_rng(13)
+        _, wqkv, _, lepe = _stripe_inputs(rng, h, w, 8, 2, True)
+        lepe.data[...] = 1.0 / 9.0
+        x = Tensor(np.broadcast_to(rng.uniform(-1, 1, 8), (h, w, 8)).copy())
+        got = _lepe_term(x, wqkv, lepe, sw)
+        inside = lambda i, n: np.array([sum(0 <= i[p] + a < n for a in (-1, 0, 1)) for p in range(len(i))])
+        rows, cols = np.arange(h), np.arange(w)
+        counts = [np.outer(inside(rows % sw, sw), inside(cols, w)), np.outer(inside(rows, h), inside(cols % sw, sw))]
+        for gi in (0, 1):
+            for i in range(2):
+                v = x.data[0, 0] @ wqkv.data[gi, 4 + i]
+                want = counts[gi][..., None] / 9.0 * v
+                np.testing.assert_allclose(got[..., (2 * gi + i) * 2 : (2 * gi + i + 1) * 2], want, atol=1e-12)
 
     def test_matches_naive_loop(self):
-        rng = np.random.default_rng(13)
-        x = rng.uniform(-1, 1, (5, 5, 3))
-        w = rng.uniform(-1, 1, (3, 3, 3))
-        got = T.depthwise_conv2d(Tensor(x), Tensor(w), padding=1)
-        np.testing.assert_allclose(got.data, depthwise_conv2d_naive(x, w, padding=1), atol=1e-6)
+        # each stripe of each head against the loop oracle, kernels given in
+        # the (H, W) geometry for both groups
+        h, w, sw = 4, 6, 2
+        rng = np.random.default_rng(14)
+        x, wqkv, _, lepe = _stripe_inputs(rng, h, w, 8, 2, True)
+        got = _lepe_term(x, wqkv, lepe, sw)
+        for gi in (0, 1):
+            for i in range(2):
+                v = x.data @ wqkv.data[gi, 4 + i]
+                want = np.zeros_like(v)
+                for s in range((h if gi == 0 else w) // sw):
+                    rows = slice(s * sw, (s + 1) * sw) if gi == 0 else slice(None)
+                    cols = slice(None) if gi == 0 else slice(s * sw, (s + 1) * sw)
+                    want[rows, cols] = depthwise_conv2d_naive(v[rows, cols], lepe.data[gi, i], padding=1)
+                np.testing.assert_allclose(got[..., (2 * gi + i) * 2 : (2 * gi + i + 1) * 2], want, atol=1e-12)
 
     def test_gradient(self):
-        rng = np.random.default_rng(14)
-        x = randt(rng, (4, 4, 2))
-        w = randt(rng, (3, 3, 2))
-        check_gradients(lambda: T.tsum(T.depthwise_conv2d(x, w, padding=1)), [("x", x), ("w", w)])
-
-    def test_batched_matches_naive_per_element(self):
-        # leading axes of x are batch axes; w's broadcast against them
         rng = np.random.default_rng(15)
-        x = rng.uniform(-1, 1, (2, 3, 5, 4, 3))
-        for stride, padding in ((1, 1), (2, 1), (1, 0)):
-            cols = T.patches(Tensor(x), 3, 3, stride=stride, padding=padding).data
-            for i, j in np.ndindex(2, 3):
-                want = T.patches(Tensor(x[i, j]), 3, 3, stride=stride, padding=padding).data
-                np.testing.assert_array_equal(cols[i, j], want)
-            for w in (rng.uniform(-1, 1, (3, 3, 3)), rng.uniform(-1, 1, (2, 1, 3, 3, 3))):
-                got = T.depthwise_conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
-                kernels = np.broadcast_to(w, (2, 3, 3, 3, 3))
-                for i, j in np.ndindex(2, 3):
-                    want = depthwise_conv2d_naive(x[i, j], kernels[i, j], stride=stride, padding=padding)
-                    np.testing.assert_allclose(got[i, j], want, atol=1e-12)
+        for sw in (1, 2):
+            x, wqkv, wo, lepe = _stripe_inputs(rng, 4, 6, 8, 2, True)
+            w = Tensor(rng.uniform(-1, 1, (4, 6, 8)))
+            check_gradients(
+                lambda: T.tsum(T.stripe_attention(x, wqkv, wo, lepe, sw) * w),
+                [("x", x), ("wqkv", wqkv), ("wo", wo), ("lepe", lepe)],
+            )
 
     def test_one_entry_with_the_composition_gradients(self):
-        # one tape entry; its gradients equal those of patches -> mul -> sum bitwise
+        # one tape entry; its output and gradients equal the composition's bitwise
         rng = np.random.default_rng(16)
-        x, w = randt(rng, (2, 5, 4, 3), "f32", True), randt(rng, (2, 3, 3, 3), "f32", True)
-        g = rng.uniform(-1, 1, (2, 5, 4, 3)).astype(np.float32)
-        with Tape() as tape:
-            y = T.depthwise_conv2d(x, w, padding=1)
-        (inputs, out, grad_fn, op), = tape.entries
-        assert op == "depthwise_conv2d" and inputs == (x, w) and out is y and y.shape == x.shape
-        gx, gw = grad_fn(g)
-        with Tape() as tape:
-            prod = T.mul(T.patches(x, 3, 3, padding=1), T.reshape(w, (2, 1, 1, 9, 3)))
-            want = T.tsum(prod, axis=-2)
-            loss = T.tsum(T.mul(want, Tensor(g)))  # seeds want's gradient with g
-        backward(loss, tape)
-        np.testing.assert_array_equal(y.data, want.data)
-        np.testing.assert_array_equal(gx, x.grad)
-        np.testing.assert_array_equal(gw, w.grad)
+        for dtype in ("f32", "f64"):
+            for sw in (1, 2):
+                given = _stripe_inputs(rng, 4, 6, 8, 2, True, dtype)
+                g = rng.uniform(-1, 1, (4, 6, 8)).astype(given[0].data.dtype)
+                y, grads = _entry_and_gradients(lambda x, wqkv, wo, lepe: T.stripe_attention(x, wqkv, wo, lepe, sw), given, g)
+                want = stripe_attention_composition(*(t.data for t in given), sw, g)
+                for got, ref in zip((y, *grads), want):
+                    np.testing.assert_array_equal(got, ref)
 
 
 class TestPatches:
+    # the im2col gather behind conv2d, reassemble and the LePE term
     @pytest.mark.parametrize("lead, k, stride, padding", [((), 1, 1, 0), ((), 3, 1, 1), ((2,), 3, 2, 1), ((), 5, 1, 2), ((2, 3), 7, 4, 2)])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_gather_equals_one_copy_per_tap(self, lead, k, stride, padding, dtype):
         x = np.random.default_rng(17).uniform(-1, 1, (*lead, 9, 8, 3)).astype(T.DTYPES[dtype])
-        got = T.patches(Tensor(x), k, k, stride=stride, padding=padding).data
+        got, _ = T._im2col(x, k, k, stride, padding)
         assert got.flags["C_CONTIGUOUS"] and got.dtype == x.dtype
         np.testing.assert_array_equal(got, im2col_taps(x, k, stride, padding))
+
+    @pytest.mark.parametrize("lead, k, stride, padding", [((), 3, 1, 1), ((2, 3), 3, 2, 1), ((2,), 5, 1, 2)])
+    def test_scatter_is_the_adjoint(self, lead, k, stride, padding):
+        # <im2col(x), g> == <x, scatter(g)> for every x and g
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-1, 1, (*lead, 9, 8, 3))
+        cols, scatter = T._im2col(x, k, k, stride, padding)
+        g = rng.uniform(-1, 1, cols.shape)
+        gx = scatter(g)
+        assert gx.shape == x.shape and gx.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(np.sum(x * gx), np.sum(cols * g), rtol=1e-12)
+
+
+class TestKeptArrays:
+    # what layer_norm and mlp entries keep beyond their inputs
+    def test_layer_norm_keeps_input_mean_and_inverse_std(self):
+        rng = np.random.default_rng(19)
+        x, gamma, beta = randt(rng, (4, 5, 6), "f32", True), randt(rng, (6,), "f32", True), randt(rng, (6,), "f32", True)
+        with Tape() as tape:
+            T.layer_norm(x, gamma, beta)
+        (inputs, _, grad_fn, _), = tape.entries
+        assert _kept_sizes(grad_fn, inputs) == [20, 20]  # one mean and one 1/std per row, no x-hat
+
+    def test_mlp_keeps_only_the_pre_activation(self):
+        rng = np.random.default_rng(20)
+        given = [randt(rng, shape, "f32", True) for shape in ((4, 5, 6), (6, 10), (10,), (10, 3), (3,))]
+        with Tape() as tape:
+            y = T.mlp(*given)
+        (inputs, out, grad_fn, op), = tape.entries
+        assert op == "mlp" and out is y and y.shape == (4, 5, 3)
+        assert _kept_sizes(grad_fn, inputs) == [20 * 10]  # h, not gelu(h)
 
 
 class TestStructural:
     def test_split_concat_roundtrip(self):
-        x = Tensor(np.arange(1.0, 7.0))
-        parts = T.split(x, [2, 2, 2], axis=0)
-        back = T.concat(parts, axis=0)
-        np.testing.assert_array_equal(back.data, x.data)
+        x = np.arange(1.0, 7.0)
+        back = T.concat([Tensor(p) for p in np.split(x, [2, 4])], axis=0)
+        np.testing.assert_array_equal(back.data, x)
 
     def test_permute_roundtrip_bitwise(self):
         rng = np.random.default_rng(15)
@@ -378,12 +510,17 @@ class TestStructural:
         assert np.shares_memory(T.reshape(x, (2, 6)).data, x.data)
 
     def test_gelu_zero(self):
-        assert T.gelu(Tensor([0.0])).data[0] == 0.0
+        eye, zero = Tensor(np.eye(2)), Tensor(np.zeros(2))
+        assert (T.mlp(Tensor([[0.0, 0.0]]), eye, zero, eye, zero).data == 0.0).all()
 
     def test_gelu_gradient(self):
+        # an mlp whose gelu sees pre-activations across [-4, 4]
         rng = np.random.default_rng(16)
-        x = randt(rng, (9,))
-        check_gradients(lambda: T.tsum(T.gelu(x)), [("x", x)])
+        x = randt(rng, (3, 3), requires_grad=True)
+        w1, b1 = Tensor(rng.uniform(-2, 2, (3, 5))), randt(rng, (5,))
+        w2, b2 = randt(rng, (5, 2)), randt(rng, (2,))
+        named = [("x", x), ("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)]
+        check_gradients(lambda: T.tsum(T.mlp(x, w1, b1, w2, b2)), named)
 
     def test_permute_gradient(self):
         rng = np.random.default_rng(17)
@@ -391,13 +528,11 @@ class TestStructural:
         w = Tensor(rng.uniform(-1, 1, (2, 3, 4)), dtype="f64")
         check_gradients(lambda: T.tsum(T.permute(x, (2, 0, 1)) * w), [("x", x)])
 
-    def test_split_gradient(self):
+    def test_concat_gradient(self):
         rng = np.random.default_rng(18)
-        x = randt(rng, (6, 2))
-        def fn():
-            a, bpart, c = T.split(x, [2, 1, 3], axis=0)
-            return T.tsum(a * a) + 2.0 * T.tsum(bpart) + T.tsum(c * 3.0)
-        check_gradients(fn, [("x", x)])
+        x, y = randt(rng, (2, 2)), randt(rng, (3, 2))
+        w = Tensor(rng.uniform(-1, 1, (5, 2)), dtype="f64")
+        check_gradients(lambda: T.tsum(T.concat([T.mul(x, x), y], axis=0) * w), [("x", x), ("y", y)])
 
     def test_pixel_shuffle_layout(self):
         h = w = 2
@@ -537,7 +672,7 @@ class TestDeterminism:
         def run(rng):
             x = Tensor(rng.standard_normal((8, 8, 3)), dtype="f32")
             w = Tensor(rng.standard_normal((3, 3, 3, 4)), dtype="f32")
-            return T.conv2d(T.gelu(x), w, Tensor.zeros((4,)), padding=1).data
+            return T.conv2d(T.softmax(x), w, Tensor.zeros((4,)), padding=1).data
 
         assert (run(rng1) == run(rng2)).all()
 

@@ -125,5 +125,14 @@ class TestTrainLoop:
         model = Model.create(tiny_config(), seed=0)
         dict(model.named_parameters())["enc.s2.b1.mlp.w1"].data[0, 0] = np.nan
         cfg = OptimizerConfig(lr=0.01, batch_size=1, max_iterations=1, seed=0)
-        with pytest.raises(NumericError, match="op 'linear'"):
+        with pytest.raises(NumericError, match="op 'mlp'"):
             train(model, micro_dataset(1, size=64, classes=4), cfg, LossConfig(), augment_enabled=False)
+
+
+def test_package_attribute_train_is_the_module():
+    # the README names cswin_seg.train.combined_loss; a re-exported train()
+    # function would shadow the module under that name
+    import cswin_seg
+    from cswin_seg.train import combined_loss
+
+    assert cswin_seg.train.combined_loss is combined_loss and cswin_seg.train.train is train
