@@ -60,11 +60,6 @@ def stripe_attention_macs(h: int, w: int, dim: int, sw: int) -> int:
     return sw * dim * h * w * (h + w)
 
 
-def dense_attention_macs(h: int, w: int, dim: int) -> int:
-    """Score and value products for global attention over all H*W tokens."""
-    return 2 * (h * w) ** 2 * dim
-
-
 def attention_projection_macs(h: int, w: int, dim: int) -> int:
     """QKV and output projections, identical for stripe and dense attention."""
     return 4 * h * w * dim * dim

@@ -389,18 +389,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def grad_fn(g):  # constants (requires_grad false) get no gradient
-        ga = gb = None
-        if a.requires_grad and a.ndim == 2 and b.ndim > 2:
-            # one contraction over b's batch axes and the shared output axis
-            axes = list(range(b.ndim - 2)) + [-1]
-            ga = np.tensordot(g, b.data, axes=(axes, axes))
-        elif a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.requires_grad and b.ndim == 2 and a.ndim > 2:
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        elif b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ga, gb
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        return ga, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
 
     return _emit("matmul", (a, b), out, grad_fn)
 

@@ -90,6 +90,11 @@ def dense_attention(tokens, wq, wk, wv):
     return softmax_rows(scores) @ v
 
 
+def dense_attention_macs(h, w, dim):
+    """Score and value products for global attention over all H*W tokens."""
+    return 2 * (h * w) ** 2 * dim
+
+
 def attention_naive(qkv):
     """softmax(q k^T / sqrt(d)) v of a stacked [3, B, L, d] array, one
     output element at a time."""
