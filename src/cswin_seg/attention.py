@@ -16,8 +16,10 @@ depthwise convolution of its value map, applied inside the stripe.  With
 it disabled the attention carries no positional information and is
 permutation-equivariant within a stripe.
 
-A block is six tape entries: layer_norm, stripe_attention, add, layer_norm,
-mlp, add.  Each keeps only what its gradient reads.
+A block is two tape entries, one per residual half: x + attention(norm(x))
+is a ``stripe_attention`` entry and x + mlp(norm(x)) an ``mlp`` entry.  Each
+keeps x, the norm's per-row statistics and what its branch's gradient reads;
+backward rebuilds the normalized input.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .initializers import ParamSource, ones, trunc_normal, zeros
-from .tensor import Tensor, add, layer_norm, mlp, stripe_attention
+from .tensor import Tensor, residual_mlp, residual_stripe_attention, stripe_attention
 
 
 @dataclass
@@ -54,22 +56,27 @@ class AttentionConfig:
         return self.channels // self.heads
 
 
-def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
-    """Two-group stripe attention with output projection; (H,W,C) -> (H,W,C)."""
+def _check_fits(x: Tensor, config: AttentionConfig) -> None:
     h, w, c = x.shape
     if c != config.channels:
         raise DimensionError(f"input has {c} channels, config says {config.channels}")
     for direction, extent in (("horizontal", h), ("vertical", w)):
         if extent % config.sw:
             raise ConfigError(f"stripe width {config.sw} does not divide {direction} extent {extent}")
+
+
+def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
+    """Two-group stripe attention with output projection; (H,W,C) -> (H,W,C)."""
+    _check_fits(x, config)
     return stripe_attention(x, params.wqkv, params.wo, params.lepe, config.sw)
 
 
 def cswin_block(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
     """Pre-norm transformer block: attention residual, then MLP residual."""
-    x = add(x, cswin_attention(layer_norm(x, params.ln1_g, params.ln1_b), params, config))
-    y = layer_norm(x, params.ln2_g, params.ln2_b)
-    return add(x, mlp(y, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2))
+    _check_fits(x, config)
+    p = params
+    x = residual_stripe_attention(x, p.ln1_g, p.ln1_b, p.wqkv, p.wo, p.lepe, config.sw)
+    return residual_mlp(x, p.ln2_g, p.ln2_b, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2)
 
 
 def _per_head(kinds: int):

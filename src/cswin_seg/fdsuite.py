@@ -112,10 +112,15 @@ def _stripe(sw):
     return lambda x, wqkv, wo, lepe=None: T.stripe_attention(x, wqkv, wo, lepe, sw)
 
 
+def _residual_stripe(sw):
+    return lambda x, gamma, beta, wqkv, wo, lepe=None: T.residual_stripe_attention(x, gamma, beta, wqkv, wo, lepe, sw)
+
+
 # 4 heads, two per group, on a map whose sides differ, so a mix-up of the
 # two groups' geometries shows
 _STRIPE = {"x": (4, 6, 8), "wqkv": (2, 6, 8, 2), "wo": (8, 8)}
 _STRIPE_LEPE = {**_STRIPE, "lepe": (2, 2, 3, 3, 2)}
+_NORM = {"x": (4, 6, 8), "gamma": (8,), "beta": (8,)}
 _CONV = partial(T.conv2d, stride=2, padding=1)
 
 CASES = {
@@ -144,6 +149,9 @@ CASES = {
     "stripe_attention_sw1_lepe": _op(_stripe(1), _STRIPE_LEPE),
     "stripe_attention_sw2": _op(_stripe(2), _STRIPE),
     "stripe_attention_sw2_lepe": _op(_stripe(2), _STRIPE_LEPE),
+    "residual_attention_sw1_lepe": _op(_residual_stripe(1), {**_NORM, **_STRIPE_LEPE}),
+    "residual_attention_sw2": _op(_residual_stripe(2), {**_NORM, **_STRIPE}),
+    "residual_mlp": _op(T.residual_mlp, {**_NORM, "w1": (8, 12), "b1": (12,), "w2": (12, 8), "b2": (8,)}),
 }
 
 

@@ -47,14 +47,15 @@ class OptimizerConfig:
 
 
 class SGD:
-    """Momentum SGD over a named parameter list."""
+    """Momentum SGD over a named parameter list.
+
+    A parameter's momentum buffer is allocated the first time it is updated,
+    as zeros, as torch.optim.SGD does; a fresh optimizer holds no buffers."""
 
     def __init__(self, named_params: list[tuple[str, Tensor]], cfg: OptimizerConfig):
         self.cfg = cfg
         self.named_params = named_params
-        self.velocity: dict[str, np.ndarray] = {
-            name: np.zeros_like(t.data) for name, t in named_params
-        }
+        self.velocity: dict[str, np.ndarray] = {}
 
     def step(self, lr: float | None = None) -> None:
         lr = self.cfg.lr if lr is None else lr
@@ -64,7 +65,9 @@ class SGD:
                 raise ContractError(f"parameter {name} has no gradient; run backward first")
             if t.grad.shape != t.data.shape:
                 raise ContractError(f"parameter {name}: grad shape {t.grad.shape} != {t.data.shape}")
-            v = self.velocity[name]
+            v = self.velocity.get(name)
+            if v is None:
+                v = self.velocity[name] = np.zeros_like(t.data)
             v *= m
             v += t.grad
             if wd:
@@ -76,12 +79,14 @@ class SGD:
             t.zero_grad()
 
     def state(self) -> dict[str, np.ndarray]:
-        return self.velocity
+        """One momentum buffer per parameter, in parameter order; zeros for a
+        parameter that has not been updated yet."""
+        return {name: self.velocity[name] if name in self.velocity else np.zeros_like(t.data) for name, t in self.named_params}
 
     def load_state(self, velocity: dict[str, np.ndarray]) -> None:
-        for name in self.velocity:
+        for name, t in self.named_params:
             if name not in velocity:
                 raise ContractError(f"missing momentum buffer for {name}")
-            if velocity[name].shape != self.velocity[name].shape:
+            if velocity[name].shape != t.data.shape:
                 raise ContractError(f"momentum buffer {name} has wrong shape")
-            self.velocity[name] = velocity[name].copy()
+        self.velocity = {name: velocity[name].copy() for name, _ in self.named_params}

@@ -12,9 +12,12 @@ bookkeeping.
 Design notes:
   * mlp's gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
   * conv2d is one primitive: a patch gather (im2col) feeding one matmul.
-  * A CSWin block is six entries: layer_norm, stripe_attention (both stripe
-    groups, their projections, LePE, head merge and output projection), add,
-    layer_norm, mlp (both linears and gelu), add.
+  * A CSWin block is two entries, one per residual half-block x + f(layer_norm(x)):
+    ``residual_stripe_attention`` records a stripe_attention entry (f is both
+    stripe groups, their projections, LePE, head merge and output projection)
+    and ``residual_mlp`` an mlp entry (f is both linears and gelu).  The
+    stand-alone layer_norm, stripe_attention and mlp primitives share their
+    kernels, so the half-blocks equal those three-entry compositions bitwise.
   * CARAFE reassembly is one primitive, ``reassemble``; the rest of the
     upsampler (``carafe.py``) is core ops.  Bilinear upsampling is a
     composition: two ``matmul``s against fixed interpolation matrices.
@@ -24,21 +27,23 @@ Design notes:
     and names the first op with a non-finite output.
   * The tape keeps only what a gradient reads, and backward rebuilds what is
     cheap to rebuild.  Each entry holds its inputs, its output and a closure
-    over the arrays its gradient needs: conv2d keeps its im2col and adds its
-    bias in place; layer_norm keeps its per-row mean and 1/std, not x-hat;
-    mlp keeps its pre-activation, not gelu's output; stripe_attention keeps
-    each group's q|k|v and probabilities and the merged heads, and transposes
-    the map and gathers the LePE neighborhoods again; reassemble keeps only
+    over the arrays its gradient needs: conv2d keeps only its inputs and
+    gathers its im2col again; layer_norm keeps its per-row mean and 1/std,
+    not x-hat; mlp keeps its pre-activation, not gelu's output;
+    stripe_attention keeps each group's q|k|v and probabilities and the
+    merged heads, and transposes the map and gathers the LePE neighborhoods
+    again; a half-block keeps x, the norm's mean and 1/std and what f keeps,
+    and rebuilds layer_norm(x) once for both gradients; reassemble keeps only
     its inputs and gathers again, one band of rows at a time.  ``reshape``
     returns a view (all tensor data is C-contiguous).  ``backward`` pops each
     entry once its gradient has run, so activations are freed as the reverse
     walk passes them instead of when it returns.
-  * layer_norm, softmax, mlp and stripe_attention compute in place: they
-    allocate their results and a few scratch arrays and write only into
-    those, never into the upstream gradient (it may be a view shared with
-    another op's gradient).  They keep the order of operations of the plain
-    expressions, or of the composition they replaced, so they are bitwise
-    equal to them.
+  * layer_norm, softmax, mlp, stripe_attention and the half-blocks compute
+    in place: they allocate their results and a few scratch arrays and write
+    only into those, never into the upstream gradient (it may be a view
+    shared with another op's gradient).  They keep the order of operations of
+    the plain expressions, or of the composition they replaced, so they are
+    bitwise equal to them.
   * Freed memory stays in the process.  glibc returns blocks above its mmap
     threshold to the kernel when they are freed and trims the top of the heap,
     so each taped step would fault its activations in again, page by page.
@@ -395,52 +400,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), out, grad_fn)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis: x [..., C] -> [..., Cout].
-
-    One primitive; both biases are added in place.  The entry keeps the
-    pre-activation h = x @ w1 + b1, not gelu(h): backward computes tanh once
-    and uses it for gelu(h), which w2's gradient reads, and for gelu's
-    derivative."""
-    _check_dtypes("mlp", x, w1, b1, w2, b2)
+def _check_mlp(opname: str, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
+    _check_dtypes(opname, x, w1, b1, w2, b2)
     ok = x.ndim >= 1 and w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:] and b2.shape == w2.shape[1:]
     if not ok or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]:
         shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2))
-        raise DimensionError(f"mlp needs [..., C], [C, Ch], [Ch], [Ch, Cout], [Cout], got {shapes}")
-    x2 = x.data.reshape(-1, x.shape[-1])
-    h = np.matmul(x2, w1.data)
-    h += b1.data
+        raise DimensionError(f"{opname} needs [..., C], [C, Ch], [Ch], [Ch, Cout], [Cout], got {shapes}")
+
+
+def _mlp(x2: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x2 @ w1 + b1) @ w2 + b2 of rows x2 [N, C]: the output [N, Cout]
+    and the pre-activation h, which is all the gradient keeps."""
+    h = np.matmul(x2, w1)
+    h += b1
     a = np.multiply(h, 0.5)
     t = _gelu_tanh(h)
     t += 1.0
     a *= t  # gelu(h) = (0.5*h) * (1 + t)
     del t
-    out = np.matmul(a, w2.data)
-    out += b2.data
+    out = np.matmul(a, w2)
+    out += b2
+    return out, h
+
+
+def _mlp_backward(x2: np.ndarray, h: np.ndarray, w1: np.ndarray, w2: np.ndarray, g2: np.ndarray) -> tuple:
+    """The gradients (x2, w1, b1, w2, b2) of ``_mlp`` for the output gradient
+    g2 [N, Cout].  tanh is computed once, for gelu(h), which w2's gradient
+    reads, and for gelu's derivative."""
+    t = _gelu_tanh(h)
+    s = np.multiply(t, t)
+    np.subtract(1.0, s, out=s)
+    t += 1.0
+    a = np.multiply(h, 0.5)
+    a *= t  # gelu(h), as in the forward
+    gw2 = a.T @ g2
+    ga = np.matmul(g2, w2.T)
+    dh = np.multiply(h, 0.5, out=a)
+    dh *= s  # (0.5*h) * (1 - t*t)
+    np.multiply(h, 3.0 * _GELU_A, out=s)
+    s *= h
+    s += 1.0
+    s *= _GELU_C  # du = C * (1 + 3A*h*h)
+    dh *= s
+    t *= 0.5
+    dh += t  # 0.5*(1 + t) + (0.5*h)*(1 - t*t)*du
+    dh *= ga
+    del t, s, ga
+    return np.matmul(dh, w1.T), x2.T @ dh, dh.sum(axis=0), gw2, g2.sum(axis=0)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis: x [..., C] -> [..., Cout].
+
+    One primitive; both biases are added in place.  The entry keeps the
+    pre-activation h = x @ w1 + b1, not gelu(h), and reads x again through
+    its tensor, so it holds no view of an array that x's producer dropped."""
+    _check_mlp("mlp", x, w1, b1, w2, b2)
+    out, h = _mlp(x.data.reshape(-1, x.shape[-1]), w1.data, b1.data, w2.data, b2.data)
 
     def grad_fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        t = _gelu_tanh(h)
-        s = np.multiply(t, t)
-        np.subtract(1.0, s, out=s)
-        t += 1.0
-        a = np.multiply(h, 0.5)
-        a *= t  # gelu(h), as in the forward
-        gw2 = a.T @ g2
-        ga = np.matmul(g2, w2.data.T)
-        dh = np.multiply(h, 0.5, out=a)
-        dh *= s  # (0.5*h) * (1 - t*t)
-        np.multiply(h, 3.0 * _GELU_A, out=s)
-        s *= h
-        s += 1.0
-        s *= _GELU_C  # du = C * (1 + 3A*h*h)
-        dh *= s
-        t *= 0.5
-        dh += t  # 0.5*(1 + t) + (0.5*h)*(1 - t*t)*du
-        dh *= ga
-        del t, s, ga
-        gx = np.matmul(dh, w1.data.T).reshape(x.shape)
-        return gx, x2.T @ dh, dh.sum(axis=0), gw2, g2.sum(axis=0)
+        gx, *gw = _mlp_backward(x.data.reshape(-1, x.shape[-1]), h, w1.data, w2.data, g.reshape(-1, g.shape[-1]))
+        return (gx.reshape(x.shape), *gw)
 
     return _emit("mlp", (x, w1, b1, w2, b2), out.reshape(x.shape[:-1] + out.shape[1:]), grad_fn)
 
@@ -494,38 +514,60 @@ def _attend_backward(qkv: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarra
     return gqkv
 
 
+def _check_layer_norm(opname: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    c = x.shape[-1]
+    if c == 0:
+        raise DimensionError(f"{opname} over zero channels")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(f"{opname}: affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
+    _check_dtypes(opname, x, gamma, beta)
+
+
+def _layer_norm(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma * x-hat + beta over the last axis, and the per-row mean and
+    1/std ([..., 1] arrays) that ``_xhat`` rebuilds x-hat from."""
+    mean = xd.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(xd, mean)
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(gamma, xhat, out=out)
+    out += beta
+    return out, mean, inv
+
+
+def _xhat(xd: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x-hat again, in the forward's two passes."""
+    xhat = np.subtract(xd, mean)
+    xhat *= inv
+    return xhat
+
+
+def _layer_norm_backward(xhat: np.ndarray, gamma: np.ndarray, inv: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients (x, gamma, beta) of ``_layer_norm`` for the output gradient g."""
+    c = xhat.shape[-1]
+    s = np.multiply(g, xhat)
+    dgamma = s.reshape(-1, c).sum(axis=0)
+    dbeta = g.reshape(-1, c).sum(axis=0)
+    dx = np.multiply(g, gamma)  # dxhat
+    np.multiply(dx, xhat, out=s)
+    np.multiply(xhat, s.mean(axis=-1, keepdims=True), out=s)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= s
+    dx *= inv  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    return dx, dgamma, dbeta
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The entry keeps the input and the per-row mean and 1/std ([..., 1]
     arrays); backward rebuilds x-hat from them in two passes."""
-    c = x.shape[-1]
-    if c == 0:
-        raise DimensionError("layer_norm over zero channels")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
-    _check_dtypes("layer_norm", x, gamma, beta)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x.data, mean)
-    out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
-    xhat *= inv
-    np.multiply(gamma.data, xhat, out=out)
-    out += beta.data
+    _check_layer_norm("layer_norm", x, gamma, beta)
+    out, mean, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
 
     def grad_fn(g):
-        xhat = np.subtract(x.data, mean)
-        xhat *= inv
-        s = np.multiply(g, xhat)
-        dgamma = s.reshape(-1, c).sum(axis=0)
-        dbeta = g.reshape(-1, c).sum(axis=0)
-        dx = np.multiply(g, gamma.data)  # dxhat
-        np.multiply(dx, xhat, out=s)
-        np.multiply(xhat, s.mean(axis=-1, keepdims=True), out=s)
-        dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= s
-        dx *= inv  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        return dx, dgamma, dbeta
+        return _layer_norm_backward(_xhat(x.data, mean, inv), gamma.data, inv, g)
 
     return _emit("layer_norm", (x, gamma, beta), out, grad_fn)
 
@@ -574,8 +616,9 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tupl
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout], bias [Cout] -> [H',W',Cout].
 
-    One primitive, an im2col matmul with the bias added in place; the entry
-    keeps the im2col (a 1x1 stride-1 unpadded kernel gathers none)."""
+    One primitive, an im2col matmul with the bias added in place.  The entry
+    keeps only its inputs: backward gathers the im2col again from x (a 1x1
+    stride-1 unpadded kernel gathers none)."""
     if w.ndim != 4:
         raise DimensionError(f"conv2d weight must be [kh,kw,Cin,Cout], got {w.shape}")
     kh, kw, cin, cout = w.shape
@@ -584,18 +627,27 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if bias.shape != (cout,):
         raise DimensionError(f"conv2d: bias {bias.shape} does not match weight {w.shape}")
     _check_dtypes("conv2d", x, w, bias)
+    ho = _conv_out_extent(x.shape[0], kh, stride, padding)
+    wo = _conv_out_extent(x.shape[1], kw, stride, padding)
     direct = (kh, kw, stride, padding) == (1, 1, 1, 0)  # every pixel is its own patch
-    cols, scatter = (x.data, lambda gc: gc.reshape(x.shape)) if direct else _im2col(x.data, kh, kw, stride, padding)
-    ho, wo = cols.shape[0], cols.shape[1]
-    cols = cols.reshape(ho * wo, kh * kw * cin)
+
+    def gather():  # the im2col [H'W', kh*kw*Cin] and its adjoint
+        if direct:
+            return x.data.reshape(ho * wo, cin), lambda gc: gc.reshape(x.shape)
+        cols, scatter = _im2col(x.data, kh, kw, stride, padding)
+        return cols.reshape(ho * wo, kh * kw * cin), scatter
+
     w2 = w.data.reshape(kh * kw * cin, cout)
-    out = np.matmul(cols, w2)
+    out = np.matmul(gather()[0], w2)
     out += bias.data
 
     def grad_fn(g):  # a constant input (the image) gets no gradient
         g2 = g.reshape(ho * wo, cout)
+        cols, scatter = gather()
+        gw = (cols.T @ g2).reshape(w.shape)
+        del cols
         gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin)) if x.requires_grad else None
-        return gx, (cols.T @ g2).reshape(w.shape), g2.sum(axis=0)
+        return gx, gw, g2.sum(axis=0)
 
     return _emit("conv2d", (x, w, bias), out.reshape(ho, wo, cout), grad_fn)
 
@@ -689,75 +741,172 @@ def stripe_attention(x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor]
     as the composition of matmul, attention, depthwise convolution, permute
     and concat that this primitive replaces, so both are bitwise equal.
     """
+    inputs = _check_stripe("stripe_attention", x, wqkv, wo, lepe, sw)
+    ld = None if lepe is None else lepe.data
+    out, kept = _stripe(x.data, wqkv.data, wo.data, ld, sw)
+
+    def grad_fn(g):
+        return _stripe_backward(x.data, wqkv.data, wo.data, ld, sw, kept, g, x.requires_grad)
+
+    return _emit("stripe_attention", inputs, out.reshape(x.shape), grad_fn)
+
+
+def _check_stripe(opname: str, x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int) -> tuple:
+    """Check stripe attention's operands; returns them as the entry's inputs."""
     if x.ndim != 3 or wqkv.ndim != 4:
-        raise DimensionError(f"stripe_attention expects x [H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
+        raise DimensionError(f"{opname} expects x [H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
     h, w, c = x.shape
     n, d = wqkv.shape[1] // 3, wqkv.shape[3]
     if wqkv.shape != (2, 3 * n, c, d) or 2 * n * d != c or wo.shape != (c, c):
-        raise DimensionError(f"stripe_attention: wqkv {wqkv.shape} or wo {wo.shape} do not fit C={c}")
+        raise DimensionError(f"{opname}: wqkv {wqkv.shape} or wo {wo.shape} do not fit C={c}")
     if lepe is not None and (lepe.ndim != 5 or lepe.shape != (2, n, lepe.shape[2], lepe.shape[2], d) or lepe.shape[2] % 2 == 0):
-        raise DimensionError(f"stripe_attention: lepe {lepe.shape} is not [2, {n}, k, k, {d}] with k odd")
+        raise DimensionError(f"{opname}: lepe {lepe.shape} is not [2, {n}, k, k, {d}] with k odd")
     if sw < 1 or h % sw or w % sw:
-        raise DimensionError(f"stripe_attention: stripe width {sw} does not divide {h} x {w}")
+        raise DimensionError(f"{opname}: stripe width {sw} does not divide {h} x {w}")
     inputs = (x, wqkv, wo) if lepe is None else (x, wqkv, wo, lepe)
-    _check_dtypes("stripe_attention", *inputs)
+    _check_dtypes(opname, *inputs)
+    return inputs
 
-    def plane(gi):  # the group's map [P, Q, C], stripes along P, flattened to [PQ, C]
-        xd = x.data if gi == 0 else np.ascontiguousarray(x.data.transpose(1, 0, 2))
-        return xd.reshape(-1, c), xd.shape[0], xd.shape[1]
 
-    def lepe_taps(qkv, gi, pp, qq):  # v's neighborhoods in each stripe and the group's kernels
-        k = lepe.shape[2]
-        v = qkv[2].reshape(n, pp // sw, sw, qq, d)
-        kern = lepe.data[gi] if gi == 0 else np.ascontiguousarray(lepe.data[gi].transpose(0, 2, 1, 3))
-        cols, scatter = _im2col(v, k, k, 1, k // 2)  # [n, m, sw, Q, k*k, d]
-        return cols, scatter, kern.reshape(n, 1, 1, 1, k * k, d)
+def _stripe_plane(xd: np.ndarray, gi: int) -> tuple[np.ndarray, int, int]:
+    """Group gi's map [P, Q, C], stripes along P, flattened to [PQ, C]."""
+    xg = xd if gi == 0 else np.ascontiguousarray(xd.transpose(1, 0, 2))
+    return xg.reshape(-1, xg.shape[2]), xg.shape[0], xg.shape[1]
 
-    merged = np.empty((h, w, 2 * n, d), dtype=x.data.dtype)
-    kept = []  # per group: q|k|v [3, n*m, sw*Q, d] and probabilities [n*m, sw*Q, sw*Q]
+
+def _lepe_taps(qkv: np.ndarray, lepe: np.ndarray, gi: int, sw: int, pp: int, qq: int) -> tuple:
+    """v's neighborhoods [n, m, sw, Q, k*k, d] in each stripe of group gi,
+    their adjoint and the group's kernels."""
+    n, k, d = lepe.shape[1], lepe.shape[2], lepe.shape[4]
+    v = qkv[2].reshape(n, pp // sw, sw, qq, d)
+    kern = lepe[gi] if gi == 0 else np.ascontiguousarray(lepe[gi].transpose(0, 2, 1, 3))
+    cols, scatter = _im2col(v, k, k, 1, k // 2)
+    return cols, scatter, kern.reshape(n, 1, 1, 1, k * k, d)
+
+
+def _stripe(xd: np.ndarray, wqkv: np.ndarray, wo: np.ndarray, lepe: Optional[np.ndarray], sw: int) -> tuple:
+    """Stripe attention of xd [H,W,C]: the output [HW, C] and what the
+    gradient keeps, each group's q|k|v [3, n*m, sw*Q, d] and probabilities
+    [n*m, sw*Q, sw*Q], and the merged heads [HW, C]."""
+    h, w, c = xd.shape
+    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
+    merged = np.empty((h, w, 2 * n, d), dtype=xd.dtype)
+    kept = []
     for gi in (0, 1):
-        xg, pp, qq = plane(gi)
-        qkv = np.matmul(xg, wqkv.data[gi : gi + 1]).reshape(3, n * (pp // sw), sw * qq, d)
+        xg, pp, qq = _stripe_plane(xd, gi)
+        qkv = np.matmul(xg, wqkv[gi : gi + 1]).reshape(3, n * (pp // sw), sw * qq, d)
         y, prob = _attend(qkv)
         y = y.reshape(n, pp, qq, d)
         if lepe is not None:
-            cols, _, kern = lepe_taps(qkv, gi, pp, qq)
+            cols, _, kern = _lepe_taps(qkv, lepe, gi, sw, pp, qq)
             y += (cols * kern).sum(axis=-2).reshape(n, pp, qq, d)
             del cols
         merged[:, :, gi * n : (gi + 1) * n] = y.transpose(_TO_MERGED[gi])
         kept.append((qkv, prob))
     merged = merged.reshape(h * w, c)
-    out = np.matmul(merged, wo.data)
+    return np.matmul(merged, wo), (kept, merged)
+
+
+def _stripe_backward(xd, wqkv, wo, lepe, sw: int, state: tuple, g: np.ndarray, need_gx: bool) -> tuple:
+    """The gradients (x, wqkv, wo[, lepe]) of ``_stripe`` for the output
+    gradient g [H,W,C]; x's is None unless need_gx."""
+    kept, merged = state
+    h, w, c = xd.shape
+    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
+    g2 = g.reshape(h * w, c)
+    gwo = np.matmul(np.swapaxes(merged, -1, -2), g2)
+    gm = np.matmul(g2, np.swapaxes(wo, -1, -2)).reshape(h, w, 2 * n, d)
+    gx, gw = None, np.empty_like(wqkv)
+    gl = None if lepe is None else np.empty_like(lepe)
+    for gi in (1, 0):
+        qkv, prob = kept[gi]
+        xg, pp, qq = _stripe_plane(xd, gi)
+        gy = np.ascontiguousarray(gm[:, :, gi * n : (gi + 1) * n].transpose(_FROM_MERGED[gi]))
+        gqkv = _attend_backward(qkv, prob, gy.reshape(qkv.shape[1:]))
+        if lepe is not None:
+            cols, scatter, kern = _lepe_taps(qkv, lepe, gi, sw, pp, qq)
+            gl5 = gy.reshape(cols.shape[:-2] + (d,))
+            gp = np.broadcast_to(np.expand_dims(gl5, -2), cols.shape)
+            gqkv[2] += scatter(gp * kern).reshape(gqkv.shape[1:])
+            gk = _unbroadcast(gp * cols, kern.shape).reshape(lepe.shape[1:])
+            gl[gi] = gk if gi == 0 else gk.transpose(0, 2, 1, 3)
+            del cols, gp
+        g4 = gqkv.reshape(1, 3 * n, pp * qq, d)
+        gw[gi] = np.matmul(np.swapaxes(xg, -1, -2), g4)[0]
+        if need_gx:
+            axes = [0, 1, -1]  # one contraction over the heads and the head dim
+            gxg = np.tensordot(g4, wqkv[gi : gi + 1], axes=(axes, axes)).reshape(pp, qq, c)
+            gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(1, 0, 2))
+            gx = gxg if gx is None else gx + gxg
+    return (gx, gw, gwo) if lepe is None else (gx, gw, gwo, gl)
+
+
+# -- residual half-blocks ------------------------------------------------------
+
+
+def _residual(opname: str, x: Tensor, gamma: Tensor, beta: Tensor, weights: tuple, f: Callable, f_backward: Callable, eps: float) -> Tensor:
+    """x + f(layer_norm(x)) as one entry named ``opname``.
+
+    ``f(y) -> (f(y), kept)`` and ``f_backward(y, kept, g) -> (gy, *gweights)``
+    run on arrays.  The entry keeps x, the per-row mean and 1/std and f's
+    ``kept``, neither y = layer_norm(x) nor f(y).  Backward rebuilds x-hat
+    once, makes y from it for f's weight gradients and reuses it for
+    layer_norm's.  x's gradient is g + d(layer_norm): the residual's share
+    first, as the composition layer_norm -> f -> add accumulates it, so both
+    are bitwise equal."""
+    y, mean, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
+    fy, kept = f(y)
+    del y
+    out = fy.reshape(x.shape)  # f's result is fresh and not kept: add x into it
+    out += x.data
 
     def grad_fn(g):
-        g2 = g.reshape(h * w, c)
-        gwo = np.matmul(np.swapaxes(merged, -1, -2), g2)
-        gm = np.matmul(g2, np.swapaxes(wo.data, -1, -2)).reshape(h, w, 2 * n, d)
-        gx, gw = None, np.empty_like(wqkv.data)
-        gl = None if lepe is None else np.empty_like(lepe.data)
-        for gi in (1, 0):
-            qkv, prob = kept[gi]
-            xg, pp, qq = plane(gi)
-            gy = np.ascontiguousarray(gm[:, :, gi * n : (gi + 1) * n].transpose(_FROM_MERGED[gi]))
-            gqkv = _attend_backward(qkv, prob, gy.reshape(qkv.shape[1:]))
-            if lepe is not None:
-                cols, scatter, kern = lepe_taps(qkv, gi, pp, qq)
-                gl5 = gy.reshape(cols.shape[:-2] + (d,))
-                gp = np.broadcast_to(np.expand_dims(gl5, -2), cols.shape)
-                gqkv[2] += scatter(gp * kern).reshape(gqkv.shape[1:])
-                gk = _unbroadcast(gp * cols, kern.shape).reshape(lepe.shape[1:])
-                gl[gi] = gk if gi == 0 else gk.transpose(0, 2, 1, 3)
-                del cols, gp
-            g4 = gqkv.reshape(1, 3 * n, pp * qq, d)
-            gw[gi] = np.matmul(np.swapaxes(xg, -1, -2), g4)[0]
-            if x.requires_grad:
-                axes = [0, 1, -1]  # one contraction over the heads and the head dim
-                gxg = np.tensordot(g4, wqkv.data[gi : gi + 1], axes=(axes, axes)).reshape(pp, qq, c)
-                gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(1, 0, 2))
-                gx = gxg if gx is None else gx + gxg
-        return (gx, gw, gwo) if lepe is None else (gx, gw, gwo, gl)
+        xhat = _xhat(x.data, mean, inv)
+        y = np.multiply(gamma.data, xhat)
+        y += beta.data  # layer_norm's output, as in the forward
+        gy, *gw = f_backward(y, kept, g)
+        del y
+        dx, dgamma, dbeta = _layer_norm_backward(xhat, gamma.data, inv, gy)
+        return (g + dx, dgamma, dbeta, *gw)
 
-    return _emit("stripe_attention", inputs, out.reshape(h, w, c), grad_fn)
+    return _emit(opname, (x, gamma, beta, *weights), out, grad_fn)
+
+
+def residual_stripe_attention(
+    x: Tensor, gamma: Tensor, beta: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int, eps: float = 1e-5
+) -> Tensor:
+    """x + stripe_attention(layer_norm(x, gamma, beta), wqkv, wo, lepe, sw):
+    a CSWin block's attention half as one ``stripe_attention`` entry."""
+    weights = _check_stripe("residual_stripe_attention", x, wqkv, wo, lepe, sw)[1:]
+    _check_layer_norm("residual_stripe_attention", x, gamma, beta)
+    ld = None if lepe is None else lepe.data
+
+    def f(y):
+        return _stripe(y, wqkv.data, wo.data, ld, sw)
+
+    def f_backward(y, kept, g):
+        return _stripe_backward(y, wqkv.data, wo.data, ld, sw, kept, g, True)
+
+    return _residual("stripe_attention", x, gamma, beta, weights, f, f_backward, eps)
+
+
+def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+    """x + mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2): a CSWin block's
+    MLP half as one ``mlp`` entry; the MLP maps C channels back to C."""
+    _check_mlp("residual_mlp", x, w1, b1, w2, b2)
+    _check_layer_norm("residual_mlp", x, gamma, beta)
+    c = x.shape[-1]
+    if w2.shape[1] != c:
+        raise DimensionError(f"residual_mlp: output width {w2.shape[1]} is not the input's {c}")
+
+    def f(y):
+        return _mlp(y.reshape(-1, c), w1.data, b1.data, w2.data, b2.data)
+
+    def f_backward(y, h, g):
+        gy, *gw = _mlp_backward(y.reshape(-1, c), h, w1.data, w2.data, g.reshape(-1, c))
+        return (gy.reshape(x.shape), *gw)
+
+    return _residual("mlp", x, gamma, beta, (w1, b1, w2, b2), f, f_backward, eps)
 
 
 def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:

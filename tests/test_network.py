@@ -371,8 +371,8 @@ class TestFusedReassemblyBudget:
 
 
 class TestBlockTape:
-    # a CSWin block records layer_norm, stripe_attention, add, layer_norm,
-    # mlp, add, and each entry keeps only what its gradient reads
+    # a CSWin block records one stripe_attention and one mlp entry, each a
+    # residual half-block, and each entry keeps only what its gradient reads
     @pytest.mark.parametrize("lepe", [False, True])
     def test_one_block_records_six_entries(self, lepe):
         rng = np.random.default_rng(0)
@@ -381,7 +381,7 @@ class TestBlockTape:
         x = Tensor(rng.uniform(-1, 1, (8, 8, 16)).astype(np.float32), requires_grad=True)
         with Tape() as tape:
             cswin_block(x, params, config)
-        assert [op for *_, op in tape.entries] == ["layer_norm", "stripe_attention", "add", "layer_norm", "mlp", "add"]
+        assert [op for *_, op in tape.entries] == ["stripe_attention", "mlp"]
 
     def test_entry_counts(self):
         assert len(_taped_step(tiny_config())[0].entries) <= 110
@@ -391,6 +391,17 @@ class TestBlockTape:
         held, peak = _step_memory(default_config())
         assert held <= 175 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
         assert peak <= 200 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
+
+    def test_half_block_entry_counts(self):
+        # one entry per residual half-block
+        assert len(_taped_step(tiny_config())[0].entries) <= 60
+        assert len(_taped_step(default_config())[0].entries) <= 95
+
+    def test_half_block_step_memory(self):
+        # no layer-norm outputs, branch outputs or conv im2cols are kept
+        held, peak = _step_memory(default_config())
+        assert held <= 130 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+        assert peak <= 155 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
 
     def test_lepe_holds_no_more(self):
         # the LePE gathers are rebuilt in backward, not kept

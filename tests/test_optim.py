@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cswin_seg.errors import ConfigError, ContractError
+from cswin_seg.network import Model, default_config
 from cswin_seg.optim import SGD, OptimizerConfig
 from cswin_seg.tensor import Tensor
 
@@ -59,6 +62,58 @@ class TestSgdStep:
         opt2 = SGD([("w", t)], OptimizerConfig(lr=0.1, momentum=0.9))
         opt2.load_state(state)
         np.testing.assert_array_equal(opt2.velocity["w"], opt.velocity["w"])
+
+
+class TestLazyMomentum:
+    # a momentum buffer is allocated at its parameter's first update
+    def test_fresh_default_optimizer_allocates_no_buffers(self):
+        params = Model.create(default_config(), seed=0).named_parameters()
+        tracemalloc.start()
+        try:
+            opt = SGD(params, OptimizerConfig())
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opt.velocity == {}
+        assert allocated < 2**20, f"allocated {allocated / 2**20:.1f} MiB"
+
+    def test_state_gives_zeros_before_the_first_step(self):
+        # the CKPT1 momenta stay one zero buffer per parameter, in order
+        a, b = param([1.0, 2.0]), param([[3.0], [4.0]])
+        opt = SGD([("a", a), ("b", b)], OptimizerConfig(lr=0.1, momentum=0.9))
+        state = opt.state()
+        assert list(state) == ["a", "b"]
+        for name, t in (("a", a), ("b", b)):
+            assert state[name].shape == t.data.shape and state[name].dtype == t.data.dtype
+            assert not state[name].any()
+        assert opt.velocity == {}
+
+    def test_first_step_equals_a_zero_buffer(self):
+        # loading explicit zeros and stepping gives the same bits as a lazy first step
+        grads = np.random.default_rng(0).uniform(-1, 1, (2, 5))
+        out = []
+        for preload in (False, True):
+            t = param(np.linspace(-1.0, 1.0, 5))
+            opt = SGD([("w", t)], OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=1e-4))
+            if preload:
+                opt.load_state({"w": np.zeros(5)})
+            for g in grads:
+                t.grad = g.copy()
+                opt.step()
+            out.append((t.data.tobytes(), opt.velocity["w"].tobytes()))
+        assert out[0] == out[1]
+
+    def test_load_state_checks_every_parameter(self):
+        a, b = param([1.0, 2.0]), param([3.0])
+        opt = SGD([("a", a), ("b", b)], OptimizerConfig())
+        with pytest.raises(ContractError, match="missing momentum buffer for b"):
+            opt.load_state({"a": np.zeros(2)})
+        with pytest.raises(ContractError, match="momentum buffer b has wrong shape"):
+            opt.load_state({"a": np.zeros(2), "b": np.zeros(2)})
+        assert opt.velocity == {}
+        given = {"a": np.ones(2), "b": np.ones(1)}
+        opt.load_state(given)
+        assert opt.velocity.keys() == given.keys() and opt.velocity["a"] is not given["a"]
 
 
 class TestConfig:

@@ -493,6 +493,92 @@ class TestKeptArrays:
         assert _kept_sizes(grad_fn, inputs) == [20 * 10]  # h, not gelu(h)
 
 
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_conv2d_keeps_no_im2col(self, k, stride, pad):
+        # backward gathers the patches again from x
+        rng = np.random.default_rng(21)
+        given = [randt(rng, (6, 6, 4), "f32", True), randt(rng, (k, k, 4, 5), "f32", True), randt(rng, (5,), "f32", True)]
+        with Tape() as tape:
+            T.conv2d(*given, stride=stride, padding=pad)
+        (inputs, _, grad_fn, _), = tape.entries
+        assert _kept_sizes(grad_fn, inputs) == []
+
+
+def _half_block(kind, rng, dtype, lepe_on=False, sw=2):
+    """(half-block, the composed f it fuses, inputs): x [4, 6, 8] and the
+    layer norm's affine, then f's weights."""
+    ln = [randt(rng, (8,), dtype, True), randt(rng, (8,), dtype, True)]
+    if kind == "mlp":
+        weights = [randt(rng, shape, dtype, True) for shape in ((8, 12), (12,), (12, 8), (8,))]
+        return T.residual_mlp, T.mlp, weights, ln
+    _, wqkv, wo, lepe = _stripe_inputs(rng, 4, 6, 8, 2, lepe_on, dtype)
+    fused = lambda x, gamma, beta, wqkv, wo, *lepe: T.residual_stripe_attention(x, gamma, beta, wqkv, wo, *(lepe or [None]), sw)
+    composed = lambda y, wqkv, wo, *lepe: T.stripe_attention(y, wqkv, wo, *(lepe or [None]), sw)
+    return fused, composed, [wqkv, wo] + ([lepe] if lepe_on else []), ln
+
+
+_HALF_BLOCKS = [("mlp", False, 2)] + [("attention", lepe_on, sw) for lepe_on in (False, True) for sw in (1, 2)]
+
+
+class TestResidualHalfBlocks:
+    """x + f(layer_norm(x)) as one entry, for f the MLP or stripe attention:
+    bitwise equal to the three entries it replaces, keeping neither
+    layer_norm(x) nor f's output."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("kind, lepe_on, sw", _HALF_BLOCKS)
+    def test_equals_the_composition(self, dtype, kind, lepe_on, sw):
+        rng, x, g = TestInPlaceElementwise._inputs(dtype, (4, 6, 8), 40)
+        fused, composed, weights, ln = _half_block(kind, rng, dtype, lepe_on, sw)
+        given = [x] + ln + weights
+        before, g0 = [t.data.copy() for t in given], g.copy()
+        y, grads = _entry_and_gradients(fused, given, g)
+        # the composition on its own tape, its gradients from backward
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in before]
+        with Tape() as tape:
+            out = T.add(leaves[0], composed(T.layer_norm(*leaves[:3]), *leaves[3:]))
+            loss = T.tsum(T.mul(out, Tensor(g0.copy())))
+        backward(loss, tape)
+        want = [out.data] + [t.grad for t in leaves]
+        assert len(grads) == len(leaves)
+        for got, ref in zip((y, *grads), want):
+            TestInPlaceElementwise._assert_bitwise(got, ref)
+        for t, ref in zip(given, before):
+            TestInPlaceElementwise._assert_bitwise(t.data, ref)
+        TestInPlaceElementwise._assert_bitwise(g, g0)
+
+    @pytest.mark.parametrize("kind, lepe_on, sw", _HALF_BLOCKS)
+    def test_keeps_x_statistics_and_what_f_reads(self, kind, lepe_on, sw):
+        # the half keeps what f's own entry keeps, plus one mean and one
+        # 1/std per row; f's entry keeps neither its input nor its output
+        rng = np.random.default_rng(41)
+        fused, composed, weights, ln = _half_block(kind, rng, "f32", lepe_on, sw)
+        x = randt(rng, (4, 6, 8), "f32", True)
+        with Tape() as tape:
+            y = fused(x, *ln, *weights)
+            composed(x, *weights)
+        (inputs, out, grad_fn, op), (f_inputs, _, f_grad_fn, f_op) = tape.entries
+        assert op == f_op == ("mlp" if kind == "mlp" else "stripe_attention") and out is y
+        assert inputs == (x, *ln, *weights)
+        assert _kept_sizes(grad_fn, inputs) == sorted(_kept_sizes(f_grad_fn, f_inputs) + [24, 24])
+        if kind == "mlp":
+            assert x.size not in _kept_sizes(grad_fn, inputs)
+
+    def test_rejects_mismatched_shapes(self):
+        rng = np.random.default_rng(42)
+        x, gamma, beta = randt(rng, (4, 6, 8)), randt(rng, (8,)), randt(rng, (8,))
+        w1, b1, w2, b2 = randt(rng, (8, 12)), randt(rng, (12,)), randt(rng, (12, 5)), randt(rng, (5,))
+        with pytest.raises(DimensionError, match="residual_mlp"):
+            T.residual_mlp(x, gamma, beta, w1, b1, w2, b2)
+        with pytest.raises(DimensionError, match="residual_mlp"):
+            T.residual_mlp(x, randt(rng, (6,)), beta, w1, b1, randt(rng, (12, 8)), randt(rng, (8,)))
+        _, wqkv, wo, _ = _stripe_inputs(rng, 4, 6, 8, 2, False)
+        with pytest.raises(DimensionError, match="residual_stripe_attention"):
+            T.residual_stripe_attention(x, gamma, beta, wqkv, wo, None, 4)
+        with pytest.raises(DimensionError, match="residual_stripe_attention"):
+            T.residual_stripe_attention(x, gamma, randt(rng, (4,)), wqkv, wo, None, 2)
+
+
 class TestStructural:
     def test_split_concat_roundtrip(self):
         x = np.arange(1.0, 7.0)

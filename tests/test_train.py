@@ -121,6 +121,16 @@ class TestTrainLoop:
         assert [it for it, _ in result.metrics] == [1, 3]
         assert 0.0 <= result.metrics[0][1].mean_dsc <= 1.0
 
+    def test_last_step_leaves_gradients_and_momenta(self):
+        # callers read the last step's gradients after train returns, and
+        # every parameter has a momentum buffer once it has been stepped
+        model = Model.create(micro(), seed=6)
+        cfg = OptimizerConfig(lr=0.01, batch_size=1, max_iterations=1, seed=0)
+        opt, _ = train(model, micro_dataset(1), cfg, LossConfig(), augment_enabled=False)
+        for name, t in model.named_parameters():
+            assert t.grad is not None and t.grad.shape == t.data.shape, name
+            assert opt.velocity[name].shape == t.data.shape, name
+
     def test_non_finite_loss_names_the_producing_op(self):
         model = Model.create(tiny_config(), seed=0)
         dict(model.named_parameters())["enc.s2.b1.mlp.w1"].data[0, 0] = np.nan
