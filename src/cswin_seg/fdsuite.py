@@ -152,6 +152,7 @@ CASES = {
     "residual_attention_sw1_lepe": _op(_residual_stripe(1), {**_NORM, **_STRIPE_LEPE}),
     "residual_attention_sw2": _op(_residual_stripe(2), {**_NORM, **_STRIPE}),
     "residual_mlp": _op(T.residual_mlp, {**_NORM, "w1": (8, 12), "b1": (12,), "w2": (12, 8), "b2": (8,)}),
+    "reassemble_bias": _op(T.reassemble, {"x": (4, 3, 2), "field": (4, 3, 4, 9), "bias": (2,)}),
 }
 
 

@@ -6,7 +6,8 @@ resolution and doubles channels.  The decoder mirrors the encoder (same
 depths, same stripe widths per stage): blocks, then a 2x upsample with a
 1x1 channel-halving conv, then optional fusion with the encoder skip at
 that scale (channel concat + 1x1 reduction).  A final 4x upsample and a
-per-pixel linear classifier produce logits at input resolution.
+per-pixel linear classifier produce logits at input resolution.  With
+CARAFE, each 1x1 conv after an upsample runs before it (``Model.upsample_project``).
 
 Channel widths are C, 2C, 4C, 8C at scales 1/4, 1/8, 1/16, 1/32.  Skip
 connections sit at 1/4, 1/8 and 1/16 and are dropped coarsest-first when
@@ -21,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import carafe
 from .atomic import write_atomic
 from .attention import AttentionConfig, CSWinBlockParams, cswin_block
-from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample
+from .carafe import KernelPredictorParams, UpsampleConfig
 from .errors import ConfigError, DimensionError
 from .initializers import ParamSource, conv_trunc_normal, seeded, zeros
 from .tensor import (
@@ -296,13 +298,24 @@ class Model:
                 assert x.shape == (cfg.stage_resolution(i + 1), cfg.stage_resolution(i + 1), cfg.stage_dim(i + 1))
         return x, skips
 
-    def _upsample(self, x: Tensor, params, sigma: int) -> Tensor:
+    def upsample_project(self, x: Tensor, up, proj: ConvParams, sigma: int) -> Tensor:
+        """Upsample x by sigma with the upsampler params ``up``, then the 1x1 conv ``proj``.
+
+        Reassembly is linear in its input, so with CARAFE the conv runs
+        first, at the source resolution, and the reassembly adds its bias
+        (on border pixels the in-bounds kernel mass is below one, so the
+        conv must not).  The other upsamplers keep the order.
+        """
         kind = self.config.upsampler
         if kind == "carafe":
-            return carafe_upsample(x, params, self.config.upsample_config(sigma))
+            cfg = self.config.upsample_config(sigma)
+            field = carafe.predict_kernels(x, up, cfg)
+            return carafe.reassemble(conv2d(x, proj.w), field, cfg, bias=proj.b)
         if kind == "transposed_conv":
-            return transposed_conv_upsample(x, params.w, params.b, sigma)
-        return upsample_bilinear(x, sigma)
+            x = transposed_conv_upsample(x, up.w, up.b, sigma)
+        else:
+            x = upsample_bilinear(x, sigma)
+        return conv2d(x, proj.w, proj.b)
 
     def skip_fuse(self, up: Tensor, skip: Tensor, conv: ConvParams) -> Tensor:
         if up.shape != skip.shape:
@@ -316,8 +329,7 @@ class Model:
             x = cswin_block(x, blk, cfg.attention_config(3))
         for d in range(3):
             stage = 2 - d  # stage whose blocks run after this upsample
-            x = self._upsample(x, self.ups[d], sigma=2)
-            x = conv2d(x, self.halve[d].w, self.halve[d].b)
+            x = self.upsample_project(x, self.ups[d], self.halve[d], sigma=2)
             if self.fuse[d] is not None:
                 x = self.skip_fuse(x, skips[stage], self.fuse[d])
             acfg = cfg.attention_config(stage)
@@ -328,8 +340,7 @@ class Model:
         return x
 
     def head(self, feats: Tensor) -> Tensor:
-        x = self._upsample(feats, self.head_up, sigma=4)
-        return conv2d(x, self.classifier.w, self.classifier.b)
+        return self.upsample_project(feats, self.head_up, self.classifier, sigma=4)
 
     def forward(self, image: Tensor) -> Tensor:
         cfg = self.config

@@ -36,8 +36,10 @@ Design notes:
     and rebuilds layer_norm(x) once for both gradients; reassemble keeps only
     its inputs and gathers again, one band of rows at a time.  ``reshape``
     returns a view (all tensor data is C-contiguous).  ``backward`` pops each
-    entry once its gradient has run, so activations are freed as the reverse
-    walk passes them instead of when it returns.
+    entry and drops its own reference to the entry's output before the
+    gradient runs, so activations are freed as the reverse walk passes them
+    instead of when it returns, and an output no gradient reads is gone
+    before that gradient allocates.
   * layer_norm, softmax, mlp, stripe_attention and the half-blocks compute
     in place: they allocate their results and a few scratch arrays and write
     only into those, never into the upstream gradient (it may be a view
@@ -241,6 +243,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     while entries:
         inputs, out, grad_fn, _opname = entries.pop()
         g = grads.pop(id(out), None)
+        del out  # else this name alone would keep the output alive while grad_fn runs
         if g is None:
             continue
         for t, gi in zip(inputs, grad_fn(g)):
@@ -613,8 +616,9 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tupl
     return out, scatter
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout], bias [Cout] -> [H',W',Cout].
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout], bias [Cout] or
+    None -> [H',W',Cout].
 
     One primitive, an im2col matmul with the bias added in place.  The entry
     keeps only its inputs: backward gathers the im2col again from x (a 1x1
@@ -624,9 +628,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     kh, kw, cin, cout = w.shape
     if x.ndim != 3 or x.shape[2] != cin:
         raise DimensionError(f"conv2d: input {x.shape} does not match weight {w.shape}")
-    if bias.shape != (cout,):
+    inputs = (x, w) if bias is None else (x, w, bias)
+    if bias is not None and bias.shape != (cout,):
         raise DimensionError(f"conv2d: bias {bias.shape} does not match weight {w.shape}")
-    _check_dtypes("conv2d", x, w, bias)
+    _check_dtypes("conv2d", *inputs)
     ho = _conv_out_extent(x.shape[0], kh, stride, padding)
     wo = _conv_out_extent(x.shape[1], kw, stride, padding)
     direct = (kh, kw, stride, padding) == (1, 1, 1, 0)  # every pixel is its own patch
@@ -639,7 +644,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     w2 = w.data.reshape(kh * kw * cin, cout)
     out = np.matmul(gather()[0], w2)
-    out += bias.data
+    if bias is not None:
+        out += bias.data
 
     def grad_fn(g):  # a constant input (the image) gets no gradient
         g2 = g.reshape(ho * wo, cout)
@@ -647,9 +653,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         gw = (cols.T @ g2).reshape(w.shape)
         del cols
         gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin)) if x.requires_grad else None
-        return gx, gw, g2.sum(axis=0)
+        return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
 
-    return _emit("conv2d", (x, w, bias), out.reshape(ho, wo, cout), grad_fn)
+    return _emit("conv2d", inputs, out.reshape(ho, wo, cout), grad_fn)
 
 
 _BAND_BYTES = 4 << 20  # neighborhood bytes per reassembly band; every 64 px map fits one band
@@ -661,17 +667,20 @@ def _row_bands(h: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(h * i // n, h * (i + 1) // n) for i in range(n)]
 
 
-def reassemble(x: Tensor, field: Tensor) -> Tensor:
+def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """CARAFE reassembly: x [H,W,C] and a source-major kernel field
-    [H,W,sigma^2,k^2] -> [sigma*H, sigma*W, C].
+    [H,W,sigma^2,k^2] -> [sigma*H, sigma*W, C], plus bias [C] if given.
 
     Output pixel (i*sigma + di, j*sigma + dj) is the k x k neighborhood of
     source pixel (i, j), zero outside the map, weighted by the kernel
     field[i, j, di*sigma + dj]; slot a*k + b weighs the neighbor at offset
-    (a - k//2, b - k//2).  One primitive: each band of source rows gathers
-    its neighborhoods and runs one batched [sigma^2, k^2] x [k^2, C] matmul,
-    so no array the size of the whole neighborhood [H,W,k^2,C] is built.
-    The entry keeps only x and field; backward gathers each band again.  It
+    (a - k//2, b - k//2).  The bias is added after the weighted sum: a 1x1
+    conv that runs on x before the reassembly hands its bias here, since on
+    border pixels the in-bounds kernel mass is below one.  One primitive:
+    each band of source rows gathers its neighborhoods and runs one batched
+    [sigma^2, k^2] x [k^2, C] matmul, so no array the size of the whole
+    neighborhood [H,W,k^2,C] is built.  The entry keeps only x, field and
+    bias; backward gathers each band again.  It
     scatter-adds the bands' taps into the x gradient from the bottom band
     up: tap i*k + j of source row s lands on padded row s + i, so a padded
     row takes its taps in the order i*k + j exactly when its source rows
@@ -680,8 +689,11 @@ def reassemble(x: Tensor, field: Tensor) -> Tensor:
     """
     if x.ndim != 3 or field.ndim != 4 or field.shape[:2] != x.shape[:2]:
         raise DimensionError(f"reassemble expects x [H,W,C] and a field [H,W,s,k], got {x.shape} and {field.shape}")
-    _check_dtypes("reassemble", x, field)
     h, w, c = x.shape
+    inputs = (x, field) if bias is None else (x, field, bias)
+    if bias is not None and bias.shape != (c,):
+        raise DimensionError(f"reassemble: bias {bias.shape} does not match {c} channels")
+    _check_dtypes("reassemble", *inputs)
     s2, k2 = field.shape[2:]
     sigma, k = math.isqrt(s2), math.isqrt(k2)
     if sigma * sigma != s2 or k * k != k2 or k % 2 == 0:
@@ -697,6 +709,8 @@ def reassemble(x: Tensor, field: Tensor) -> Tensor:
     for a, b in bands:
         prod = np.matmul(field.data[a:b], hood(xp, a, b))
         out[a:b] = prod.reshape(b - a, w, sigma, sigma, c).transpose(0, 2, 1, 3, 4)
+    if bias is not None:
+        out += bias.data
 
     def grad_fn(g):  # a constant input gets no gradient
         xp = _pad_hw(x.data, r)
@@ -712,9 +726,10 @@ def reassemble(x: Tensor, field: Tensor) -> Tensor:
                 for i in range(k):
                     for j in range(k):
                         gxp[a + i : b + i, j : j + w] += ghood[:, :, i * k + j]
-        return None if gxp is None else np.ascontiguousarray(gxp[r : r + h, r : r + w]), gf
+        gx = None if gxp is None else np.ascontiguousarray(gxp[r : r + h, r : r + w])
+        return (gx, gf) if bias is None else (gx, gf, g.reshape(-1, c).sum(axis=0))
 
-    return _emit("reassemble", (x, field), out.reshape(sigma * h, sigma * w, c), grad_fn)
+    return _emit("reassemble", inputs, out.reshape(sigma * h, sigma * w, c), grad_fn)
 
 
 # per stripe group: the axes that take its [n, P, Q, d] head outputs to the

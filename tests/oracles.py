@@ -194,6 +194,18 @@ def reassemble_naive(x, field, sigma, k_up):
     return out
 
 
+def reassemble_then_conv1x1(x, field, w, bias, sigma, k_up):
+    """The architecture's order: reassemble x [H,W,Cin] at full resolution,
+    then a 1x1 conv w [1,1,Cin,Cout] with bias [Cout], one output pixel at a
+    time.  Returns [sigma*H, sigma*W, Cout]."""
+    up = reassemble_naive(x, field, sigma, k_up)
+    out = np.empty(up.shape[:2] + (w.shape[3],), dtype=x.dtype)
+    for ip in range(up.shape[0]):
+        for jp in range(up.shape[1]):
+            out[ip, jp] = up[ip, jp] @ w[0, 0] + bias
+    return out
+
+
 def im2col_taps(x, k, stride=1, padding=0):
     """Gather k x k neighborhoods [..., H,W,C] -> [..., H',W',k*k,C] with one
     strided copy per kernel tap; tap i*k + j starts at row i, column j."""

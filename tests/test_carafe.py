@@ -223,6 +223,28 @@ class TestFusedReassembly:
         with pytest.raises(DimensionError):
             T.reassemble(x, Tensor(np.zeros((4, 3, 4, 9)), dtype="f32"))
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_bias_is_added_after_the_sum(self, dtype):
+        # the entry adds its bias to every output pixel, border ones included,
+        # and the bias gradient is the upstream gradient summed over pixels
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.uniform(-1, 1, (4, 3, 2)), dtype=dtype, requires_grad=True)
+        field = Tensor(rng.uniform(0, 1, (4, 3, 4, 9)), dtype=dtype, requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, (2,)), dtype=dtype, requires_grad=True)
+        g = rng.uniform(-1, 1, (8, 6, 2)).astype(x.data.dtype)
+        with Tape() as tape:
+            y = T.reassemble(x, field, bias)
+        (inputs, out, grad_fn, op), = tape.entries
+        assert op == "reassemble" and inputs == (x, field, bias) and out is y
+        gx, gfield, gbias = grad_fn(g)
+        want, want_gx, want_gfield = reassemble_composition(x.data, field.data, g)
+        np.testing.assert_array_equal(y.data, want + bias.data)
+        np.testing.assert_array_equal(gx, want_gx)
+        np.testing.assert_array_equal(gfield, want_gfield)
+        np.testing.assert_array_equal(gbias, g.reshape(-1, 2).sum(axis=0))
+        with pytest.raises(DimensionError):
+            T.reassemble(x, field, Tensor(np.zeros(3), dtype=dtype))
+
     def test_entry_keeps_no_source_neighborhood(self):
         # the tape holds x, the field and the output; the [H, W, k^2, C]
         # neighborhoods do not stay for backward

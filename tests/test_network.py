@@ -7,6 +7,7 @@ import pytest
 
 from cswin_seg import complexity
 from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_block
+from cswin_seg.carafe import carafe_upsample, predict_kernels
 from cswin_seg.errors import ConfigError, DimensionError
 from cswin_seg.initializers import seeded
 from cswin_seg.losses import LossConfig
@@ -18,10 +19,10 @@ from cswin_seg.network import (
     tiny_config,
     transposed_conv_upsample,
 )
-from cswin_seg.tensor import Tape, Tensor, backward, tsum, upsample_bilinear
+from cswin_seg.tensor import Tape, Tensor, backward, conv2d, tsum, upsample_bilinear
 from cswin_seg.train import combined_loss
 
-from oracles import dense_attention_macs
+from oracles import dense_attention_macs, reassemble_naive, reassemble_then_conv1x1
 
 
 def micro_config(**overrides):
@@ -255,6 +256,88 @@ class TestVariants:
         assert model.forward(img).shape == (32, 32, 3)
 
 
+def _upsampler_and_projection(model, sigma):
+    """Decoder step 0's sigma-2 upsampler and its halve conv, or the head's
+    sigma-4 upsampler and the classifier, with the upsampler's channels."""
+    if sigma == 2:
+        return model.ups[0], model.halve[0], model.config.stage_dim(3)
+    return model.head_up, model.classifier, model.config.embed_dim
+
+
+class TestUpsampleProject:
+    # with CARAFE the 1x1 conv after an upsample runs first, at the source
+    # resolution, and the reassembly adds its bias afterwards; the network
+    # must compute what reassembling and then projecting computes
+    def _case(self, sigma, dtype):
+        model = Model.create(micro_config(), seed=sigma, dtype=dtype)
+        up, proj, c = _upsampler_and_projection(model, sigma)
+        rng = np.random.default_rng(sigma)
+        proj.b.data[:] = rng.uniform(-1, 1, proj.b.shape)
+        x = Tensor(rng.uniform(-1, 1, (5, 6, c)), dtype=dtype)
+        field = predict_kernels(x, up, model.config.upsample_config(sigma)).data
+        return model, up, proj, x, field
+
+    @pytest.mark.parametrize("sigma", [2, 4])
+    def test_matches_reassemble_then_conv_f64(self, sigma):
+        model, up, proj, x, field = self._case(sigma, "f64")
+        k = model.config.carafe_k_up
+        got = model.upsample_project(x, up, proj, sigma).data
+        want = reassemble_then_conv1x1(x.data, field, proj.w.data, proj.b.data, sigma, k)
+        assert got.shape == want.shape == (5 * sigma, 6 * sigma, proj.w.shape[3])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the border rows and columns, where less than the whole kernel mass
+        # lies on the map: a bias added before the reassembly is scaled there
+        for side, edge in (("top", np.s_[0]), ("bottom", np.s_[-1]), ("left", np.s_[:, 0]), ("right", np.s_[:, -1])):
+            np.testing.assert_allclose(got[edge], want[edge], rtol=0, atol=1e-12, err_msg=side)
+        bias_first = reassemble_naive(x.data @ proj.w.data[0, 0] + proj.b.data, field, sigma, k)
+        assert np.abs(bias_first[0] - want[0]).max() > 0.1
+        # source row and column 2 see their whole 5 x 5 neighborhood
+        inner = np.s_[2 * sigma : 3 * sigma, 2 * sigma : 4 * sigma]
+        np.testing.assert_allclose(bias_first[inner], want[inner], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [2, 4])
+    def test_matches_reassemble_then_conv_f32(self, sigma):
+        model, up, proj, x, field = self._case(sigma, "f32")
+        got = model.upsample_project(x, up, proj, sigma).data
+        f64 = [a.astype(np.float64) for a in (x.data, field, proj.w.data, proj.b.data)]
+        want = reassemble_then_conv1x1(*f64, sigma, model.config.carafe_k_up)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("sigma", [2, 4])
+    def test_gradients_match_reassemble_then_conv(self, sigma):
+        model, up, proj, x, _ = self._case(sigma, "f64")
+        x.requires_grad = True
+        cfg = model.config.upsample_config(sigma)
+        weights = Tensor(np.random.default_rng(9).uniform(-1, 1, (5 * sigma, 6 * sigma, proj.w.shape[3])), dtype="f64")
+        named = [("x", x), ("w", proj.w), ("b", proj.b)] + [(n, getattr(up, n)) for n in ("comp_w", "comp_b", "enc_w", "enc_b")]
+
+        def grads(forward):
+            for _, t in named:
+                t.zero_grad()
+            with Tape() as tape:
+                loss = tsum(forward() * weights)
+            backward(loss, tape)
+            return [t.grad for _, t in named]
+
+        got = grads(lambda: model.upsample_project(x, up, proj, sigma))
+        want = grads(lambda: conv2d(carafe_upsample(x, up, cfg), proj.w, proj.b))
+        for (name, _), g, ref in zip(named, got, want):
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("upsampler", ["bilinear", "transposed_conv"])
+    def test_other_upsamplers_keep_their_order(self, upsampler):
+        model = Model.create(micro_config(upsampler=upsampler), seed=1)
+        up, proj, c = _upsampler_and_projection(model, 2)
+        x = Tensor(np.random.default_rng(1).uniform(-1, 1, (4, 4, c)).astype(np.float32))
+        if upsampler == "bilinear":
+            upsampled = upsample_bilinear(x, 2)
+        else:
+            upsampled = transposed_conv_upsample(x, up.w, up.b, 2)
+        want = conv2d(upsampled, proj.w, proj.b).data
+        np.testing.assert_array_equal(model.upsample_project(x, up, proj, 2).data, want)
+
+
 class TestGradientsReachEverything:
     def test_backward_populates_all_parameters(self):
         cfg = micro_config()
@@ -408,6 +491,17 @@ class TestBlockTape:
         held, _ = _step_memory(default_config())
         held_lepe, _ = _step_memory(default_config(lepe_enabled=True))
         assert held_lepe <= held + 2**20, f"{held_lepe / 2**20:.1f} MiB with LePE, {held / 2**20:.1f} MiB without"
+
+
+class TestProjectedUpsampleBudget:
+    def test_default_step_memory(self):
+        # the head's classifier runs at 56 x 56 before its reassembly, so
+        # the 224 x 224 x 64 head activation and its gradient are never
+        # built, and backward lets go of each entry's output before that
+        # entry's gradient runs
+        held, peak = _step_memory(default_config())
+        assert held <= 112 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+        assert peak <= 125 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestCounting:
