@@ -12,9 +12,9 @@ ops.  Reassembly is one primitive, ``tensor.reassemble``: each source
 pixel's neighborhood meets its sigma^2 kernels in one batched matmul, and
 the sigma^2 outputs go to space as a pixel shuffle would put them.  The tape
 keeps only the input and the field; backward gathers the neighborhoods
-again, band by band.  Out-of-bounds neighbors contribute zero, in the
-encoder conv and in the reassembly alike.  Channel count is preserved; any
-channel change is the caller's business.
+again.  Out-of-bounds neighbors contribute zero, in the encoder conv and in
+the reassembly alike.  Channel count is preserved; any channel change is
+the caller's business.
 
 The network follows each upsample with a 1x1 conv (``halve`` in each
 decoder step, the classifier in the head).  Reassembly is linear in its

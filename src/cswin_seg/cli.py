@@ -56,8 +56,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     samples, manifest = load_dataset(args.data, "train")
     config = resolve_config(args.config)
-    if config.input_size != manifest["size"]:
-        raise ConfigError(f"config input size {config.input_size} != dataset size {manifest['size']}")
+    for sample in samples:  # the images themselves: a hand-written manifest need not record a size
+        if sample.image.shape[:2] != (config.input_size, config.input_size):
+            shape = "x".join(map(str, sample.image.shape[:2]))
+            raise ConfigError(f"config input size {config.input_size} != {shape} of dataset image {sample.id}")
     if config.num_classes != manifest["num_classes"]:
         raise ConfigError(f"config classes {config.num_classes} != dataset classes {manifest['num_classes']}")
     try:

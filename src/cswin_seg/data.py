@@ -93,7 +93,9 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":  # comment line
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                raise FormatError(f"{path}: header comment has no end of line")
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
@@ -106,6 +108,8 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
             raise FormatError(f"{path}: bad header field {data[start:pos]!r}") from e
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: image size {w}x{h} is not positive")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     need = w * h * channels
@@ -219,8 +223,8 @@ def synth_generate(
     test: int = 0,
 ) -> dict:
     """Write n samples plus a manifest under out_dir; returns the manifest."""
-    if size % 32:
-        raise ConfigError(f"size {size} not divisible by 32")
+    if size <= 0 or size % 32:
+        raise ConfigError(f"size {size} is not a positive multiple of 32")
     if num_classes < 2:
         raise ConfigError("num_classes must be >= 2")
     if val + test >= n:
@@ -255,6 +259,18 @@ def synth_generate(
 # -- loading -----------------------------------------------------------------------
 
 
+def _check_keys(path, where: str, obj, types: dict) -> None:
+    """Raise FormatError unless obj is a JSON object whose keys hold values of
+    exactly these types (so a JSON true is not an int)."""
+    if type(obj) is not dict:
+        raise FormatError(f"{path}: {where} must be a JSON object, got {type(obj).__name__}")
+    for key, kind in types.items():
+        if key not in obj:
+            raise FormatError(f"{path}: {where} has no {key!r}")
+        if type(obj[key]) is not kind:
+            raise FormatError(f"{path}: {where} {key!r} must be {kind.__name__}, got {type(obj[key]).__name__}")
+
+
 def load_manifest(path) -> dict:
     path = Path(path)
     if path.is_dir():
@@ -266,8 +282,11 @@ def load_manifest(path) -> dict:
         raise DataError(f"no manifest at {path}")
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from e
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise FormatError(f"{path}: unsupported manifest version {manifest.get('version')}")
+    _check_keys(path, "manifest", manifest, {"version": int, "num_classes": int, "samples": list})
+    if manifest["version"] != MANIFEST_VERSION:
+        raise FormatError(f"{path}: unsupported manifest version {manifest['version']}")
+    for i, entry in enumerate(manifest["samples"]):
+        _check_keys(path, f"samples[{i}]", entry, dict.fromkeys(("id", "image", "mask", "split"), str))
     seen_splits = {e["split"] for e in manifest["samples"]}
     if not seen_splits <= {"train", "val", "test"}:
         raise DataError(f"{path}: unknown splits {seen_splits}")

@@ -34,12 +34,11 @@ Design notes:
     merged heads, and transposes the map and gathers the LePE neighborhoods
     again; a half-block keeps x, the norm's mean and 1/std and what f keeps,
     and rebuilds layer_norm(x) once for both gradients; reassemble keeps only
-    its inputs and gathers again, one band of rows at a time.  ``reshape``
-    returns a view (all tensor data is C-contiguous).  ``backward`` pops each
-    entry and drops its own reference to the entry's output before the
-    gradient runs, so activations are freed as the reverse walk passes them
-    instead of when it returns, and an output no gradient reads is gone
-    before that gradient allocates.
+    its inputs and gathers again.  ``reshape`` returns a view (all tensor
+    data is C-contiguous).  ``backward`` pops each entry and drops its own
+    reference to the entry's output before the gradient runs, so activations
+    are freed as the reverse walk passes them instead of when it returns, and
+    an output no gradient reads is gone before that gradient allocates.
   * layer_norm, softmax, mlp, stripe_attention and the half-blocks compute
     in place: they allocate their results and a few scratch arrays and write
     only into those, never into the upstream gradient (it may be a view
@@ -658,15 +657,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1,
     return _emit("conv2d", inputs, out.reshape(ho, wo, cout), grad_fn)
 
 
-_BAND_BYTES = 4 << 20  # neighborhood bytes per reassembly band; every 64 px map fits one band
-
-
-def _row_bands(h: int, row_bytes: int) -> list[tuple[int, int]]:
-    """Split rows [0, h) into near-equal bands of at most _BAND_BYTES / row_bytes rows (one at least)."""
-    n = -(-h // max(1, _BAND_BYTES // row_bytes))
-    return [(h * i // n, h * (i + 1) // n) for i in range(n)]
-
-
 def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """CARAFE reassembly: x [H,W,C] and a source-major kernel field
     [H,W,sigma^2,k^2] -> [sigma*H, sigma*W, C], plus bias [C] if given.
@@ -677,15 +667,12 @@ def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tenso
     (a - k//2, b - k//2).  The bias is added after the weighted sum: a 1x1
     conv that runs on x before the reassembly hands its bias here, since on
     border pixels the in-bounds kernel mass is below one.  One primitive:
-    each band of source rows gathers its neighborhoods and runs one batched
-    [sigma^2, k^2] x [k^2, C] matmul, so no array the size of the whole
-    neighborhood [H,W,k^2,C] is built.  The entry keeps only x, field and
-    bias; backward gathers each band again.  It
-    scatter-adds the bands' taps into the x gradient from the bottom band
-    up: tap i*k + j of source row s lands on padded row s + i, so a padded
-    row takes its taps in the order i*k + j exactly when its source rows
-    come in descending order.  Every result thus equals
-    im2col -> matmul -> pixel_shuffle bitwise.
+    the im2col gather of the neighborhoods [H,W,k^2,C] feeds one batched
+    [sigma^2, k^2] x [k^2, C] matmul per source pixel, written out in
+    pixel-shuffle order.  The entry keeps only x, field and bias; backward
+    gathers the neighborhoods again and scatters the x gradient with the
+    gather's adjoint, so every result equals im2col -> matmul ->
+    pixel_shuffle bitwise.
     """
     if x.ndim != 3 or field.ndim != 4 or field.shape[:2] != x.shape[:2]:
         raise DimensionError(f"reassemble expects x [H,W,C] and a field [H,W,s,k], got {x.shape} and {field.shape}")
@@ -698,35 +685,17 @@ def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tenso
     sigma, k = math.isqrt(s2), math.isqrt(k2)
     if sigma * sigma != s2 or k * k != k2 or k % 2 == 0:
         raise DimensionError(f"reassemble: field {field.shape} must hold sigma^2 kernels of k^2 slots, k odd")
-    r = k // 2
-    bands = _row_bands(h, w * k2 * c * x.data.itemsize)
-
-    def hood(xp, a, b):  # the neighborhoods [b-a, W, k^2, C] of source rows [a, b)
-        return _im2col(xp[a : b + 2 * r], k, k, 1, 0)[0]
-
-    xp = _pad_hw(x.data, r)
-    out = np.empty((h, sigma, w, sigma, c), dtype=x.data.dtype)
-    for a, b in bands:
-        prod = np.matmul(field.data[a:b], hood(xp, a, b))
-        out[a:b] = prod.reshape(b - a, w, sigma, sigma, c).transpose(0, 2, 1, 3, 4)
+    prod = np.matmul(field.data, _im2col(x.data, k, k, 1, k // 2)[0])  # [H, W, sigma^2, C]
+    out = np.ascontiguousarray(prod.reshape(h, w, sigma, sigma, c).transpose(0, 2, 1, 3, 4))
     if bias is not None:
         out += bias.data
 
     def grad_fn(g):  # a constant input gets no gradient
-        xp = _pad_hw(x.data, r)
-        g5 = g.reshape(h, sigma, w, sigma, c)
-        gf = np.empty_like(field.data) if field.requires_grad else None
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        for a, b in reversed(bands):  # see the docstring for why bottom-up
-            gprod = np.ascontiguousarray(g5[a:b].transpose(0, 2, 1, 3, 4)).reshape(b - a, w, s2, c)
-            if gf is not None:
-                np.matmul(gprod, np.swapaxes(hood(xp, a, b), -1, -2), out=gf[a:b])
-            if gxp is not None:
-                ghood = np.matmul(np.swapaxes(field.data[a:b], -1, -2), gprod)
-                for i in range(k):
-                    for j in range(k):
-                        gxp[a + i : b + i, j : j + w] += ghood[:, :, i * k + j]
-        gx = None if gxp is None else np.ascontiguousarray(gxp[r : r + h, r : r + w])
+        gprod = np.ascontiguousarray(g.reshape(h, sigma, w, sigma, c).transpose(0, 2, 1, 3, 4)).reshape(h, w, s2, c)
+        cols, scatter = _im2col(x.data, k, k, 1, k // 2)
+        gf = np.matmul(gprod, np.swapaxes(cols, -1, -2)) if field.requires_grad else None
+        del cols
+        gx = scatter(np.matmul(np.swapaxes(field.data, -1, -2), gprod)) if x.requires_grad else None
         return (gx, gf) if bias is None else (gx, gf, g.reshape(-1, c).sum(axis=0))
 
     return _emit("reassemble", inputs, out.reshape(sigma * h, sigma * w, c), grad_fn)

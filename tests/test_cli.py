@@ -1,4 +1,5 @@
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -32,6 +33,11 @@ class TestSynth:
         rc = main(["synth", "--out", str(tmp_path / "d"), "--n", "2", "--size", "30", "--classes", "3"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_nonpositive_size_is_error_exit(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--n", "2", "--size", "0", "--classes", "3"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -70,6 +76,26 @@ class TestTrainEvalPredict:
         rc = main(["train", "--data", data, "--out", str(tmp_path / "r"), "--config", "tiny", "--iters", "1"])
         assert rc == 1
         assert "input size" in capsys.readouterr().err
+
+    def test_manifest_without_size_trains(self, tmp_path, capsys):
+        # train reads only the keys the loaders check, and the images' own size
+        data = tmp_path / "d"
+        main(["synth", "--out", str(data), "--n", "2", "--size", "32", "--classes", "3"])
+        manifest = json.loads((data / "manifest.json").read_text())
+        for key in ("seed", "generator", "size"):
+            del manifest[key]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--config", micro_config_file(tmp_path),
+                   "--iters", "1", "--batch", "1"])
+        assert rc == 0
+
+    def test_list_manifest_is_error_exit(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / "manifest.json").write_text("[]\n")
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--config", "tiny", "--iters", "1"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["eval", "--data", str(tmp_path), "--checkpoint", str(tmp_path / "nope.ckpt")])

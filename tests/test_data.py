@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,29 @@ class TestNetpbm:
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x01\x02\x03")
         assert read_pgm(p).tolist() == [[0, 1], [2, 3]]
 
+    def test_unterminated_comment(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        p.write_bytes(b"P5\n2 2 # a comment")
+        with pytest.raises(FormatError, match="comment"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize(
+        "header", [b"P5\n0 0\n255\n", b"P5\n-3 6\n255\n", b"P5\n4 0\n255\n"], ids=["0x0", "-3x6", "4x0"]
+    )
+    def test_nonpositive_size(self, tmp_path, header):
+        p = tmp_path / "z.pgm"
+        p.write_bytes(header + bytes(24))
+        with pytest.raises(FormatError, match="not positive"):
+            read_pgm(p)
+
+    def test_empty_pair_not_loaded(self, tmp_path):
+        # a 0 x 0 image and mask must fail in the reader, not in load_dataset's label check
+        synth_generate(tmp_path, n=1, size=32, num_classes=3, seed=0)
+        (tmp_path / "images/s0000.ppm").write_bytes(b"P6\n0 0\n255\n")
+        (tmp_path / "masks/s0000.pgm").write_bytes(b"P5\n0 0\n255\n")
+        with pytest.raises(FormatError, match="s0000.ppm"):
+            load_dataset(tmp_path)
+
 
 class TestGenerator:
     def test_deterministic_files(self, tmp_path):
@@ -98,6 +123,11 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             synth_generate(tmp_path, n=2, size=60, num_classes=4, seed=0)
 
+    @pytest.mark.parametrize("size", [0, -32])
+    def test_nonpositive_size_rejected(self, tmp_path, size):
+        with pytest.raises(ConfigError, match="positive"):
+            synth_generate(tmp_path, n=2, size=size, num_classes=4, seed=0)
+
     def test_split_budget_validated(self, tmp_path):
         with pytest.raises(ConfigError):
             synth_generate(tmp_path, n=2, size=32, num_classes=4, seed=0, val=1, test=1)
@@ -132,3 +162,54 @@ class TestLoading:
         assert (samples[0].mask == want.mask).all()
         # image went through u8 quantization; allow half-step error
         assert np.abs(samples[0].image - want.image).max() <= 0.5 / 255 + 1e-6
+
+
+_MISSING = object()
+
+
+def _write_edited_manifest(root, edit):
+    synth_generate(root, n=2, size=32, num_classes=3, seed=4)
+    path = root / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return path
+
+
+class TestMalformedManifest:
+    def test_not_an_object(self, tmp_path):
+        path = _write_edited_manifest(tmp_path, lambda m: [m])
+        with pytest.raises(FormatError, match="JSON object") as exc:
+            load_dataset(tmp_path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    # (edit the first sample instead of the manifest, key, new value or _MISSING to delete it)
+    @pytest.mark.parametrize(
+        "in_sample, key, value",
+        [
+            (False, "num_classes", _MISSING),
+            (False, "num_classes", "3"),
+            (False, "num_classes", True),
+            (False, "samples", _MISSING),
+            (False, "samples", {"s0000": {}}),
+            (False, "samples", ["s0000.ppm"]),
+            (True, "id", _MISSING),
+            (True, "image", _MISSING),
+            (True, "mask", _MISSING),
+            (True, "split", _MISSING),
+            (True, "id", 0),
+            (True, "split", None),
+        ],
+    )
+    def test_bad_key_named(self, tmp_path, in_sample, key, value):
+        def edit(m):
+            target = m["samples"][0] if in_sample else m
+            if value is _MISSING:
+                del target[key]
+            else:
+                target[key] = value
+            return m
+
+        path = _write_edited_manifest(tmp_path, edit)
+        with pytest.raises(FormatError) as exc:
+            load_dataset(tmp_path)
+        msg = str(exc.value)
+        assert msg.startswith(f"{path}: ") and key in msg.removeprefix(f"{path}: ")
