@@ -8,8 +8,8 @@ the queries, keys and values of all its heads, and heads and stripes share
 the leading axis of one batched attention (scores, softmax and value
 product).  The vertical group runs on the transposed map, where its stripes
 are rows.  Head outputs are merged channel-wise (horizontal heads first)
-and fused by a square output projection, so the block keeps its (H, W, C)
-shape.
+and fused by a square output projection, so the block keeps its
+[..., H, W, C] shape; leading axes are a batch.
 
 Optionally each head adds a locally-enhanced positional term: a 3x3
 depthwise convolution of its value map, applied inside the stripe.  With
@@ -57,7 +57,9 @@ class AttentionConfig:
 
 
 def _check_fits(x: Tensor, config: AttentionConfig) -> None:
-    h, w, c = x.shape
+    if x.ndim < 3:
+        raise DimensionError(f"attention expects [..., H,W,C], got {x.shape}")
+    h, w, c = x.shape[-3:]
     if c != config.channels:
         raise DimensionError(f"input has {c} channels, config says {config.channels}")
     for direction, extent in (("horizontal", h), ("vertical", w)):
@@ -66,7 +68,7 @@ def _check_fits(x: Tensor, config: AttentionConfig) -> None:
 
 
 def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
-    """Two-group stripe attention with output projection; (H,W,C) -> (H,W,C)."""
+    """Two-group stripe attention with output projection; [..., H,W,C] -> [..., H,W,C]."""
     _check_fits(x, config)
     return stripe_attention(x, params.wqkv, params.wo, params.lepe, config.sw)
 

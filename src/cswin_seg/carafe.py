@@ -7,10 +7,12 @@ for each output pixel it covers).  Kernels are softmax-normalized, then the
 output pixel is the kernel-weighted sum of the k_up x k_up neighborhood
 around its source pixel (i, j) = (floor(i'/sigma), floor(j'/sigma)).
 
-The kernel field is a reshape of the encoder output, normalized by core
-ops.  Reassembly is one primitive, ``tensor.reassemble``: each source
-pixel's neighborhood meets its sigma^2 kernels in one batched matmul, and
-the sigma^2 outputs go to space as a pixel shuffle would put them.  The tape
+The encoder conv, the split into kernels and their softmax are one
+``tensor.conv2d_softmax`` entry, which keeps the compressed map and the
+field but not the encoder's logits.  Reassembly is one primitive,
+``tensor.reassemble``: each source pixel's neighborhood meets its sigma^2
+kernels in one batched matmul, and the sigma^2 outputs go to space as a
+pixel shuffle would put them.  Leading axes of the input are a batch.  The tape
 keeps only the input and the field; backward gathers the neighborhoods
 again.  Out-of-bounds neighbors contribute zero, in the encoder conv and in
 the reassembly alike.  Channel count is preserved; any channel change is
@@ -37,7 +39,7 @@ from typing import Optional
 from . import tensor
 from .errors import ConfigError, DimensionError
 from .initializers import ParamSource, conv_trunc_normal, zeros
-from .tensor import Tensor, conv2d, reshape, softmax
+from .tensor import Tensor, conv2d, conv2d_softmax
 
 
 @dataclass
@@ -83,34 +85,31 @@ class KernelPredictorParams:
 def predict_kernels(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:
     """Compress, encode, split into kernels, normalize.
 
-    Returns the source-major kernel field [H, W, sigma^2, k_up^2]: the
+    Returns the source-major kernel field [..., H, W, sigma^2, k_up^2]: the
     kernel of output pixel (i*sigma + di, j*sigma + dj) is
     field[i, j, di*sigma + dj], and each kernel sums to one.  Kernel slot
     (n+r)*k_up + (m+r) weighs the source neighbor at row offset n, column
     offset m (r = k_up//2).  Encoder channel (di*sigma + dj)*k_up^2 + slot
     feeds that kernel slot; row-major, frozen for checkpoints.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"predict_kernels expects [H,W,C], got {x.shape}")
-    if params.comp_w.shape[2] != x.shape[2]:
-        raise DimensionError(f"compressor expects C={params.comp_w.shape[2]}, input has {x.shape[2]}")
-    h, w, _ = x.shape
+    if x.ndim < 3:
+        raise DimensionError(f"predict_kernels expects [..., H,W,C], got {x.shape}")
+    if params.comp_w.shape[2] != x.shape[-1]:
+        raise DimensionError(f"compressor expects C={params.comp_w.shape[2]}, input has {x.shape[-1]}")
     compressed = conv2d(x, params.comp_w, params.comp_b)
-    logits = conv2d(compressed, params.enc_w, params.enc_b, padding=config.k_encoder // 2)
-    return softmax(reshape(logits, (h, w, config.sigma**2, config.kernel_area)), axis=-1)
+    return conv2d_softmax(compressed, params.enc_w, params.enc_b, config.kernel_area, padding=config.k_encoder // 2)
 
 
 def reassemble(x: Tensor, field: Tensor, config: UpsampleConfig, bias: Optional[Tensor] = None) -> Tensor:
-    """Weighted neighborhood sums: [H,W,C] + kernel field -> [sigma*H, sigma*W, C],
-    plus bias [C] if given.
+    """Weighted neighborhood sums: [..., H,W,C] + kernel field ->
+    [..., sigma*H, sigma*W, C], plus bias [C] if given.
 
     One ``tensor.reassemble`` entry: each source pixel runs one
     [sigma^2, k^2] x [k^2, C] matmul, so the upsampled neighborhood
     [sigma*H, sigma*W, k^2, C] is never built, and the tape keeps neither
     the source neighborhoods nor the unshuffled product.
     """
-    h, w, _ = x.shape
-    expect = (h, w, config.sigma**2, config.kernel_area)
+    expect = (*x.shape[:-1], config.sigma**2, config.kernel_area)
     if field.shape != expect:
         raise DimensionError(f"kernel field shape {field.shape} != {expect}")
     return tensor.reassemble(x, field, bias)

@@ -31,7 +31,7 @@ from .fdsuite import run_suite
 from .losses import LossConfig
 from .network import Model, NetworkConfig, default_config, tiny_config
 from .optim import OptimizerConfig
-from .train import evaluate_model, losses_to_csv, metrics_to_csv, predict_mask, train
+from .train import check_sizes, evaluate_model, losses_to_csv, metrics_to_csv, predict_mask, train
 
 _ERRORS = (ConfigError, ContractError, DataError, DimensionError, FormatError, NumericError, OSError)
 
@@ -56,16 +56,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     samples, manifest = load_dataset(args.data, "train")
     config = resolve_config(args.config)
-    for sample in samples:  # the images themselves: a hand-written manifest need not record a size
-        if sample.image.shape[:2] != (config.input_size, config.input_size):
-            shape = "x".join(map(str, sample.image.shape[:2]))
-            raise ConfigError(f"config input size {config.input_size} != {shape} of dataset image {sample.id}")
-    if config.num_classes != manifest["num_classes"]:
-        raise ConfigError(f"config classes {config.num_classes} != dataset classes {manifest['num_classes']}")
     try:
         val_samples, _ = load_dataset(args.data, "val")
     except DataError:
         val_samples = None
+    check_sizes(config, [*samples, *(val_samples or [])])  # before the class count: the more basic mismatch
+    if config.num_classes != manifest["num_classes"]:
+        raise ConfigError(f"config classes {config.num_classes} != dataset classes {manifest['num_classes']}")
 
     opt_cfg = OptimizerConfig(
         lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,

@@ -71,12 +71,12 @@ def _layer(make, x_shape):
     return build
 
 
-def _loss(fn):
-    """A segmentation loss of [4, 4, 3] logits against 3-class labels."""
+def _loss(fn, lead=()):
+    """A segmentation loss of [*lead, 4, 4, 3] logits against 3-class labels."""
 
     def build(rng):
-        labels = rng.integers(0, 3, (4, 4))
-        logits = _probe(rng, (4, 4, 3))
+        labels = rng.integers(0, 3, (*lead, 4, 4))
+        logits = _probe(rng, (*lead, 4, 4, 3))
         return lambda: fn(logits, labels), [("logits", logits)]
 
     return build
@@ -123,11 +123,17 @@ _STRIPE_LEPE = {**_STRIPE, "lepe": (2, 2, 3, 3, 2)}
 _NORM = {"x": (4, 6, 8), "gamma": (8,), "beta": (8,)}
 _CONV = partial(T.conv2d, stride=2, padding=1)
 
+
+def _batch2(shapes):
+    """The same operands with a leading batch axis of 2 on x."""
+    return {name: (2, *shape) if name == "x" else shape for name, shape in shapes.items()}
+
+
 CASES = {
     "matmul": _op(T.matmul, {"a": (4, 3), "b": (3, 5)}),
     "matmul_batched": _op(T.matmul, {"a": (6, 4, 3), "b": (3, 2)}),
     "add_mul_broadcast": _op(_broadcast, {"a": (5, 4), "b": (4,)}),
-    "softmax": _op(T.softmax, {"x": (6, 7)}, scale=0.1),
+    "conv2d_softmax": _op(partial(T.conv2d_softmax, slots=3, padding=1), {"x": (4, 5, 2), "w": (3, 3, 2, 6), "b": (6,)}),
     "layer_norm": _op(T.layer_norm, {"x": (4, 8), "gamma": (8,), "beta": (8,)}, scale=0.05),
     "conv2d": _op(_CONV, {"x": (6, 6, 2), "w": (3, 3, 2, 4), "b": (4,)}),
     "permute_reshape_concat": _op(_structural, {"x": (3, 4, 2)}),
@@ -153,6 +159,15 @@ CASES = {
     "residual_attention_sw2": _op(_residual_stripe(2), {**_NORM, **_STRIPE}),
     "residual_mlp": _op(T.residual_mlp, {**_NORM, "w1": (8, 12), "b1": (12,), "w2": (12, 8), "b2": (8,)}),
     "reassemble_bias": _op(T.reassemble, {"x": (4, 3, 2), "field": (4, 3, 4, 9), "bias": (2,)}),
+    # a leading batch axis of 2
+    "conv2d_batch2": _op(_CONV, _batch2({"x": (6, 6, 2), "w": (3, 3, 2, 4), "b": (4,)})),
+    "reassemble_bias_batch2": _op(T.reassemble, {"x": (2, 4, 3, 2), "field": (2, 4, 3, 4, 9), "bias": (2,)}),
+    "stripe_attention_sw1_lepe_batch2": _op(_stripe(1), _batch2(_STRIPE_LEPE)),
+    "stripe_attention_sw2_batch2": _op(_stripe(2), _batch2(_STRIPE)),
+    "residual_attention_sw2_batch2": _op(_residual_stripe(2), _batch2({**_NORM, **_STRIPE})),
+    "residual_mlp_batch2": _op(T.residual_mlp, _batch2({**_NORM, "w1": (8, 12), "b1": (12,), "w2": (12, 8), "b2": (8,)})),
+    "dice_loss_batch2": _loss(dice_loss, lead=(2,)),
+    "cross_entropy_loss_batch2": _loss(cross_entropy_loss, lead=(2,)),
 }
 
 

@@ -193,19 +193,22 @@ class ConvParams:
 def transposed_conv_upsample(x: Tensor, w: Tensor, b: Tensor, sigma: int) -> Tensor:
     """Stride-sigma transposed conv with a sigma x sigma kernel (no overlap).
 
-    w is [sigma, sigma, Cin, Cout]; output pixel (sigma*i+a, sigma*j+b) is
-    x[i,j] @ w[a,b].
+    x is [..., H, W, Cin] and w [sigma, sigma, Cin, Cout]; output pixel
+    (sigma*i+a, sigma*j+b) is x[i,j] @ w[a,b].
     """
-    h, wd, c = x.shape
+    *lead, h, wd, c = x.shape
     cout = w.shape[3]
     wf = reshape(permute(w, (2, 0, 1, 3)), (c, sigma * sigma * cout))
-    out = matmul(reshape(x, (h * wd, c)), wf)
-    out = pixel_shuffle(reshape(out, (h, wd, sigma * sigma * cout)), sigma, cout)
+    out = matmul(reshape(x, (x.size // c, c)), wf)
+    out = pixel_shuffle(reshape(out, (*lead, h, wd, sigma * sigma * cout)), sigma, cout)
     return add(out, b)
 
 
 class Model:
     """Parameter container plus the forward pass.
+
+    The forward takes one image [H, W, Cin] or a batch [B, H, W, Cin]: every
+    layer treats leading axes as a batch, so both run the same code.
 
     Parameters live in small dataclasses mirroring the architecture, each
     declared once by name to a ``ParamSource``: seeded draws for ``create``,
@@ -271,7 +274,7 @@ class Model:
     # -- forward ----------------------------------------------------------------
 
     def token_embed(self, image: Tensor) -> Tensor:
-        h, w, cin = image.shape
+        h, w, cin = image.shape[-3:]
         if h % 4 or w % 4:
             raise ConfigError(f"image extent {h}x{w} not divisible by 4")
         if cin != self.config.in_channels:
@@ -279,7 +282,7 @@ class Model:
         return conv2d(image, self.embed.w, self.embed.b, stride=4, padding=3)
 
     def downsample(self, x: Tensor, i: int) -> Tensor:
-        h, w, _ = x.shape
+        h, w, _ = x.shape[-3:]
         if h % 2 or w % 2:
             raise ConfigError(f"cannot halve odd extent {h}x{w}")
         return conv2d(x, self.down[i].w, self.down[i].b, stride=2, padding=1)
@@ -295,7 +298,7 @@ class Model:
             if i < 3:
                 skips.append(x)
                 x = self.downsample(x, i)
-                assert x.shape == (cfg.stage_resolution(i + 1), cfg.stage_resolution(i + 1), cfg.stage_dim(i + 1))
+                assert x.shape[-3:] == (cfg.stage_resolution(i + 1), cfg.stage_resolution(i + 1), cfg.stage_dim(i + 1))
         return x, skips
 
     def upsample_project(self, x: Tensor, up, proj: ConvParams, sigma: int) -> Tensor:
@@ -336,19 +339,20 @@ class Model:
             for blk in self.dec_stages[stage]:
                 x = cswin_block(x, blk, acfg)
             res = cfg.stage_resolution(stage)
-            assert x.shape == (res, res, cfg.stage_dim(stage))
+            assert x.shape[-3:] == (res, res, cfg.stage_dim(stage))
         return x
 
     def head(self, feats: Tensor) -> Tensor:
         return self.upsample_project(feats, self.head_up, self.classifier, sigma=4)
 
     def forward(self, image: Tensor) -> Tensor:
+        """Logits [..., S, S, K] of images [..., S, S, Cin]."""
         cfg = self.config
-        if image.shape[0] != cfg.input_size or image.shape[1] != cfg.input_size:
-            raise DimensionError(f"image {image.shape} does not match input size {cfg.input_size}")
+        if image.ndim not in (3, 4) or image.shape[-3:-1] != (cfg.input_size, cfg.input_size):
+            raise DimensionError(f"image {image.shape} is not [S,S,C] or [B,S,S,C] with input size S={cfg.input_size}")
         tokens = self.token_embed(image)
         bottleneck, skips = self.encode(tokens)
         feats = self.decode(bottleneck, skips)
         logits = self.head(feats)
-        assert logits.shape == (cfg.input_size, cfg.input_size, cfg.num_classes)
+        assert logits.shape == image.shape[:-1] + (cfg.num_classes,)
         return logits

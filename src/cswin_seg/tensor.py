@@ -10,8 +10,18 @@ is active the primitives run as plain numpy code, so inference costs no
 bookkeeping.
 
 Design notes:
+  * Leading batch axes.  Every primitive the model records takes
+    [..., H, W, C] maps and treats the leading axes as a batch: conv2d,
+    reassemble and mlp run one matmul over every image's rows, and
+    stripe_attention puts heads, batch and stripes on one leading attention
+    axis.  A training step records one tape for its whole minibatch; a
+    single [H, W, C] image is the same code with no leading axis.  Weight
+    gradients reduce over all B*N rows at once, so a batch's gradients equal
+    the sum of per-image ones up to rounding, not bitwise.
   * mlp's gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
   * conv2d is one primitive: a patch gather (im2col) feeding one matmul.
+    conv2d_softmax is a conv whose output channel groups are softmax-
+    normalized in place (CARAFE's kernel predictor), so its logits are not kept.
   * A CSWin block is two entries, one per residual half-block x + f(layer_norm(x)):
     ``residual_stripe_attention`` records a stripe_attention entry (f is both
     stripe groups, their projections, LePE, head merge and output projection)
@@ -28,7 +38,8 @@ Design notes:
   * The tape keeps only what a gradient reads, and backward rebuilds what is
     cheap to rebuild.  Each entry holds its inputs, its output and a closure
     over the arrays its gradient needs: conv2d keeps only its inputs and
-    gathers its im2col again; layer_norm keeps its per-row mean and 1/std,
+    gathers its im2col again; conv2d_softmax keeps its inputs and the
+    normalized result; layer_norm keeps its per-row mean and 1/std,
     not x-hat; mlp keeps its pre-activation, not gelu's output;
     stripe_attention keeps each group's q|k|v and probabilities and the
     merged heads, and transposes the map and gathers the LePE neighborhoods
@@ -39,12 +50,12 @@ Design notes:
     reference to the entry's output before the gradient runs, so activations
     are freed as the reverse walk passes them instead of when it returns, and
     an output no gradient reads is gone before that gradient allocates.
-  * layer_norm, softmax, mlp, stripe_attention and the half-blocks compute
-    in place: they allocate their results and a few scratch arrays and write
-    only into those, never into the upstream gradient (it may be a view
-    shared with another op's gradient).  They keep the order of operations of
-    the plain expressions, or of the composition they replaced, so they are
-    bitwise equal to them.
+  * layer_norm, conv2d_softmax, mlp, stripe_attention and the half-blocks
+    compute in place: they allocate their results and a few scratch arrays
+    and write only into those, never into the upstream gradient (it may be a
+    view shared with another op's gradient).  They keep the order of
+    operations of the plain expressions, or of the composition they
+    replaced, so they are bitwise equal to them.
   * Freed memory stays in the process.  glibc returns blocks above its mmap
     threshold to the kernel when they are freed and trims the top of the heap,
     so each taped step would fault its activations in again, page by page.
@@ -470,24 +481,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 # -- normalization and attention scalars ---------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max subtraction)."""
-    if x.shape[axis] == 0:
-        raise DimensionError("softmax over an empty axis")
-    y = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        gx = np.multiply(g, y)
-        dot = gx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= y
-        return (gx,)
-
-    return _emit("softmax", (x,), y, grad_fn)
-
-
 def _attend(qkv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softmax(q k^T / sqrt(d)) v of a stacked [3, B, L, d] projection: the
     [B, L, d] output and the [B, L, L] probabilities.  Scores are scaled and
@@ -615,31 +608,32 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tupl
     return out, scatter
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation: x [H,W,Cin], w [kh,kw,Cin,Cout], bias [Cout] or
-    None -> [H',W',Cout].
-
-    One primitive, an im2col matmul with the bias added in place.  The entry
-    keeps only its inputs: backward gathers the im2col again from x (a 1x1
-    stride-1 unpadded kernel gathers none)."""
+def _conv(opname: str, x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: int) -> tuple:
+    """Check a convolution's operands and run it as an im2col matmul with the
+    bias added in place.  Returns the entry's inputs, the output rows
+    [N, Cout] (N over the leading axes and output pixels), the output shape
+    [..., H', W', Cout] and the gradient function, which gathers the im2col
+    again from x (a 1x1 stride-1 unpadded kernel gathers none)."""
     if w.ndim != 4:
-        raise DimensionError(f"conv2d weight must be [kh,kw,Cin,Cout], got {w.shape}")
+        raise DimensionError(f"{opname} weight must be [kh,kw,Cin,Cout], got {w.shape}")
     kh, kw, cin, cout = w.shape
-    if x.ndim != 3 or x.shape[2] != cin:
-        raise DimensionError(f"conv2d: input {x.shape} does not match weight {w.shape}")
+    if x.ndim < 3 or x.shape[-1] != cin:
+        raise DimensionError(f"{opname}: input {x.shape} does not match weight {w.shape}")
     inputs = (x, w) if bias is None else (x, w, bias)
     if bias is not None and bias.shape != (cout,):
-        raise DimensionError(f"conv2d: bias {bias.shape} does not match weight {w.shape}")
-    _check_dtypes("conv2d", *inputs)
-    ho = _conv_out_extent(x.shape[0], kh, stride, padding)
-    wo = _conv_out_extent(x.shape[1], kw, stride, padding)
+        raise DimensionError(f"{opname}: bias {bias.shape} does not match weight {w.shape}")
+    _check_dtypes(opname, *inputs)
+    *lead, h, wd, _ = x.shape
+    ho = _conv_out_extent(h, kh, stride, padding)
+    wo = _conv_out_extent(wd, kw, stride, padding)
+    rows = math.prod(lead) * ho * wo
     direct = (kh, kw, stride, padding) == (1, 1, 1, 0)  # every pixel is its own patch
 
-    def gather():  # the im2col [H'W', kh*kw*Cin] and its adjoint
+    def gather():  # the im2col [N, kh*kw*Cin] and its adjoint
         if direct:
-            return x.data.reshape(ho * wo, cin), lambda gc: gc.reshape(x.shape)
+            return x.data.reshape(rows, cin), lambda gc: gc.reshape(x.shape)
         cols, scatter = _im2col(x.data, kh, kw, stride, padding)
-        return cols.reshape(ho * wo, kh * kw * cin), scatter
+        return cols.reshape(rows, kh * kw * cin), scatter
 
     w2 = w.data.reshape(kh * kw * cin, cout)
     out = np.matmul(gather()[0], w2)
@@ -647,19 +641,67 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1,
         out += bias.data
 
     def grad_fn(g):  # a constant input (the image) gets no gradient
-        g2 = g.reshape(ho * wo, cout)
+        g2 = g.reshape(rows, cout)
         cols, scatter = gather()
         gw = (cols.T @ g2).reshape(w.shape)
         del cols
-        gx = scatter(np.matmul(g2, w2.T).reshape(ho, wo, kh * kw, cin)) if x.requires_grad else None
+        gx = scatter(np.matmul(g2, w2.T).reshape(*lead, ho, wo, kh * kw, cin)) if x.requires_grad else None
         return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
 
-    return _emit("conv2d", inputs, out.reshape(ho, wo, cout), grad_fn)
+    return inputs, out, (*lead, ho, wo, cout), grad_fn
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation: x [..., H,W,Cin], w [kh,kw,Cin,Cout], bias
+    [Cout] or None -> [..., H',W',Cout].
+
+    One primitive, an im2col matmul over every leading axis and output pixel
+    at once.  The entry keeps only its inputs: backward gathers the im2col
+    again from x."""
+    inputs, out, shape, grad_fn = _conv("conv2d", x, w, bias, stride, padding)
+    return _emit("conv2d", inputs, out.reshape(shape), grad_fn)
+
+
+def conv2d_softmax(x: Tensor, w: Tensor, bias: Tensor, slots: int, padding: int = 0) -> Tensor:
+    """softmax(reshape(conv2d(x, w, bias, padding=padding), [..., H, W, G, slots]))
+    over the last axis: the Cout = G*slots output channels split into G
+    groups of ``slots``, each group normalized -> [..., H, W, G, slots].
+
+    One entry.  The softmax runs in place on the conv's output, so the
+    logits are never kept: the entry holds x, w, bias and the result, and
+    backward takes softmax's vector-Jacobian product from the result, then
+    the conv's gradient from a re-gathered im2col.  These are the numpy calls
+    of the conv2d -> reshape -> softmax composition it replaces, so both are
+    bitwise equal."""
+    inputs, y, shape, conv_grad = _conv("conv2d_softmax", x, w, bias, 1, padding)
+    cout = shape[-1]
+    if slots < 1 or cout % slots:
+        raise DimensionError(f"conv2d_softmax: {cout} channels do not split into groups of {slots}")
+    y = y.reshape(*shape[:-1], cout // slots, slots)
+    y -= y.max(axis=-1, keepdims=True)  # max-shifted
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        gx = np.multiply(g, y)
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y  # y * (g - sum(g * y))
+        return conv_grad(gx)
+
+    return _emit("conv2d_softmax", inputs, y, grad_fn)
+
+
+def _shuffle_axes(lead: int) -> tuple:
+    """The transpose between (h, w, di, dj, c) and (h, di, w, dj, c) behind
+    ``lead`` leading axes: pixel shuffle's, and its own inverse."""
+    return (*range(lead), lead, lead + 2, lead + 1, lead + 3, lead + 4)
 
 
 def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """CARAFE reassembly: x [H,W,C] and a source-major kernel field
-    [H,W,sigma^2,k^2] -> [sigma*H, sigma*W, C], plus bias [C] if given.
+    """CARAFE reassembly: x [..., H,W,C] and a source-major kernel field
+    [..., H,W,sigma^2,k^2] -> [..., sigma*H, sigma*W, C], plus bias [C] if
+    given.
 
     Output pixel (i*sigma + di, j*sigma + dj) is the k x k neighborhood of
     source pixel (i, j), zero outside the map, weighted by the kernel
@@ -667,57 +709,60 @@ def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tenso
     (a - k//2, b - k//2).  The bias is added after the weighted sum: a 1x1
     conv that runs on x before the reassembly hands its bias here, since on
     border pixels the in-bounds kernel mass is below one.  One primitive:
-    the im2col gather of the neighborhoods [H,W,k^2,C] feeds one batched
+    the im2col gather of the neighborhoods [..., H,W,k^2,C] feeds one batched
     [sigma^2, k^2] x [k^2, C] matmul per source pixel, written out in
     pixel-shuffle order.  The entry keeps only x, field and bias; backward
     gathers the neighborhoods again and scatters the x gradient with the
     gather's adjoint, so every result equals im2col -> matmul ->
     pixel_shuffle bitwise.
     """
-    if x.ndim != 3 or field.ndim != 4 or field.shape[:2] != x.shape[:2]:
-        raise DimensionError(f"reassemble expects x [H,W,C] and a field [H,W,s,k], got {x.shape} and {field.shape}")
-    h, w, c = x.shape
+    if x.ndim < 3 or field.ndim != x.ndim + 1 or field.shape[:-2] != x.shape[:-1]:
+        raise DimensionError(f"reassemble expects x [..., H,W,C] and a field [..., H,W,s,k], got {x.shape} and {field.shape}")
+    *lead, h, w, c = x.shape
     inputs = (x, field) if bias is None else (x, field, bias)
     if bias is not None and bias.shape != (c,):
         raise DimensionError(f"reassemble: bias {bias.shape} does not match {c} channels")
     _check_dtypes("reassemble", *inputs)
-    s2, k2 = field.shape[2:]
+    s2, k2 = field.shape[-2:]
     sigma, k = math.isqrt(s2), math.isqrt(k2)
     if sigma * sigma != s2 or k * k != k2 or k % 2 == 0:
         raise DimensionError(f"reassemble: field {field.shape} must hold sigma^2 kernels of k^2 slots, k odd")
-    prod = np.matmul(field.data, _im2col(x.data, k, k, 1, k // 2)[0])  # [H, W, sigma^2, C]
-    out = np.ascontiguousarray(prod.reshape(h, w, sigma, sigma, c).transpose(0, 2, 1, 3, 4))
+    shuffle = _shuffle_axes(len(lead))
+    prod = np.matmul(field.data, _im2col(x.data, k, k, 1, k // 2)[0])  # [..., H, W, sigma^2, C]
+    out = np.ascontiguousarray(prod.reshape(*lead, h, w, sigma, sigma, c).transpose(shuffle))
     if bias is not None:
         out += bias.data
 
     def grad_fn(g):  # a constant input gets no gradient
-        gprod = np.ascontiguousarray(g.reshape(h, sigma, w, sigma, c).transpose(0, 2, 1, 3, 4)).reshape(h, w, s2, c)
+        gprod = np.ascontiguousarray(g.reshape(*lead, h, sigma, w, sigma, c).transpose(shuffle)).reshape(*lead, h, w, s2, c)
         cols, scatter = _im2col(x.data, k, k, 1, k // 2)
         gf = np.matmul(gprod, np.swapaxes(cols, -1, -2)) if field.requires_grad else None
         del cols
         gx = scatter(np.matmul(np.swapaxes(field.data, -1, -2), gprod)) if x.requires_grad else None
         return (gx, gf) if bias is None else (gx, gf, g.reshape(-1, c).sum(axis=0))
 
-    return _emit("reassemble", inputs, out.reshape(sigma * h, sigma * w, c), grad_fn)
+    return _emit("reassemble", inputs, out.reshape(*lead, sigma * h, sigma * w, c), grad_fn)
 
 
-# per stripe group: the axes that take its [n, P, Q, d] head outputs to the
-# merged [H, W, n, d] layout, and back; group 1 runs on the transposed map
-_TO_MERGED = ((1, 2, 0, 3), (2, 1, 0, 3))
-_FROM_MERGED = ((2, 0, 1, 3), (2, 1, 0, 3))
+# per stripe group: the axes that take its [n, B, P, Q, d] head outputs to
+# the merged [B, H, W, n, d] layout, and back; group 1 runs on the transposed map
+_TO_MERGED = ((1, 2, 3, 0, 4), (1, 3, 2, 0, 4))
+_FROM_MERGED = ((3, 0, 1, 2, 4), (3, 0, 2, 1, 4))
 
 
 def stripe_attention(x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int) -> Tensor:
-    """Cross-shaped-window self-attention of x [H,W,C] as one primitive -> [H,W,C].
+    """Cross-shaped-window self-attention of x [..., H,W,C] as one primitive
+    -> [..., H,W,C].
 
     Group 0 attends inside horizontal stripes of sw rows, group 1 inside
     vertical stripes of sw columns; group 1 runs on the transposed map, where
     its stripes are rows.  wqkv [2, 3n, C, d] projects each group's n query
     heads, then its keys, then its values, with n*d = C/2.  lepe [2, n, k, k, d]
     (or None) adds a k x k depthwise convolution of each head's values inside
-    its stripe, kernels given in the (H, W) geometry.  Heads and stripes share
-    one leading batch axis, head-major.  The heads' outputs are merged
-    channel-wise, group 0 first, into [HW, C] and projected by wo [C, C].
+    its stripe, kernels given in the (H, W) geometry.  Heads, the leading
+    (batch) axes and stripes share one leading attention axis, in that order.
+    The heads' outputs are merged channel-wise, group 0 first, into [BHW, C]
+    and projected by wo [C, C].
 
     The entry keeps each group's stacked q|k|v and probabilities and the
     merged heads.  Backward transposes x again for group 1 and gathers the
@@ -737,9 +782,9 @@ def stripe_attention(x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor]
 
 def _check_stripe(opname: str, x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int) -> tuple:
     """Check stripe attention's operands; returns them as the entry's inputs."""
-    if x.ndim != 3 or wqkv.ndim != 4:
-        raise DimensionError(f"{opname} expects x [H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
-    h, w, c = x.shape
+    if x.ndim < 3 or wqkv.ndim != 4:
+        raise DimensionError(f"{opname} expects x [..., H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
+    h, w, c = x.shape[-3:]
     n, d = wqkv.shape[1] // 3, wqkv.shape[3]
     if wqkv.shape != (2, 3 * n, c, d) or 2 * n * d != c or wo.shape != (c, c):
         raise DimensionError(f"{opname}: wqkv {wqkv.shape} or wo {wo.shape} do not fit C={c}")
@@ -753,59 +798,65 @@ def _check_stripe(opname: str, x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Option
 
 
 def _stripe_plane(xd: np.ndarray, gi: int) -> tuple[np.ndarray, int, int]:
-    """Group gi's map [P, Q, C], stripes along P, flattened to [PQ, C]."""
-    xg = xd if gi == 0 else np.ascontiguousarray(xd.transpose(1, 0, 2))
-    return xg.reshape(-1, xg.shape[2]), xg.shape[0], xg.shape[1]
+    """Group gi's maps [B, P, Q, C] of xd [B, H, W, C], stripes along P,
+    flattened to [BPQ, C]."""
+    xg = xd if gi == 0 else np.ascontiguousarray(xd.transpose(0, 2, 1, 3))
+    return xg.reshape(-1, xg.shape[3]), xg.shape[1], xg.shape[2]
 
 
 def _lepe_taps(qkv: np.ndarray, lepe: np.ndarray, gi: int, sw: int, pp: int, qq: int) -> tuple:
-    """v's neighborhoods [n, m, sw, Q, k*k, d] in each stripe of group gi,
+    """v's neighborhoods [n, Bm, sw, Q, k*k, d] in each stripe of group gi,
     their adjoint and the group's kernels."""
     n, k, d = lepe.shape[1], lepe.shape[2], lepe.shape[4]
-    v = qkv[2].reshape(n, pp // sw, sw, qq, d)
+    v = qkv[2].reshape(n, -1, sw, qq, d)
     kern = lepe[gi] if gi == 0 else np.ascontiguousarray(lepe[gi].transpose(0, 2, 1, 3))
     cols, scatter = _im2col(v, k, k, 1, k // 2)
     return cols, scatter, kern.reshape(n, 1, 1, 1, k * k, d)
 
 
 def _stripe(xd: np.ndarray, wqkv: np.ndarray, wo: np.ndarray, lepe: Optional[np.ndarray], sw: int) -> tuple:
-    """Stripe attention of xd [H,W,C]: the output [HW, C] and what the
-    gradient keeps, each group's q|k|v [3, n*m, sw*Q, d] and probabilities
-    [n*m, sw*Q, sw*Q], and the merged heads [HW, C]."""
-    h, w, c = xd.shape
+    """Stripe attention of xd [..., H,W,C]: the output [BHW, C] and what the
+    gradient keeps, each group's q|k|v [3, n*B*m, sw*Q, d] and probabilities
+    [n*B*m, sw*Q, sw*Q], and the merged heads [BHW, C]."""
+    h, w, c = xd.shape[-3:]
+    xd = xd.reshape(-1, h, w, c)
+    nb = xd.shape[0]
     n, d = wqkv.shape[1] // 3, wqkv.shape[3]
-    merged = np.empty((h, w, 2 * n, d), dtype=xd.dtype)
+    merged = np.empty((nb, h, w, 2 * n, d), dtype=xd.dtype)
     kept = []
     for gi in (0, 1):
         xg, pp, qq = _stripe_plane(xd, gi)
-        qkv = np.matmul(xg, wqkv[gi : gi + 1]).reshape(3, n * (pp // sw), sw * qq, d)
+        qkv = np.matmul(xg, wqkv[gi : gi + 1]).reshape(3, n * nb * (pp // sw), sw * qq, d)
         y, prob = _attend(qkv)
-        y = y.reshape(n, pp, qq, d)
+        y = y.reshape(n, nb, pp, qq, d)
         if lepe is not None:
             cols, _, kern = _lepe_taps(qkv, lepe, gi, sw, pp, qq)
-            y += (cols * kern).sum(axis=-2).reshape(n, pp, qq, d)
+            y += (cols * kern).sum(axis=-2).reshape(n, nb, pp, qq, d)
             del cols
-        merged[:, :, gi * n : (gi + 1) * n] = y.transpose(_TO_MERGED[gi])
+        merged[..., gi * n : (gi + 1) * n, :] = y.transpose(_TO_MERGED[gi])
         kept.append((qkv, prob))
-    merged = merged.reshape(h * w, c)
+    merged = merged.reshape(nb * h * w, c)
     return np.matmul(merged, wo), (kept, merged)
 
 
 def _stripe_backward(xd, wqkv, wo, lepe, sw: int, state: tuple, g: np.ndarray, need_gx: bool) -> tuple:
     """The gradients (x, wqkv, wo[, lepe]) of ``_stripe`` for the output
-    gradient g [H,W,C]; x's is None unless need_gx."""
+    gradient g [..., H,W,C]; x's is None unless need_gx."""
     kept, merged = state
-    h, w, c = xd.shape
+    shape = xd.shape
+    h, w, c = shape[-3:]
+    xd = xd.reshape(-1, h, w, c)
+    nb = xd.shape[0]
     n, d = wqkv.shape[1] // 3, wqkv.shape[3]
-    g2 = g.reshape(h * w, c)
+    g2 = g.reshape(nb * h * w, c)
     gwo = np.matmul(np.swapaxes(merged, -1, -2), g2)
-    gm = np.matmul(g2, np.swapaxes(wo, -1, -2)).reshape(h, w, 2 * n, d)
+    gm = np.matmul(g2, np.swapaxes(wo, -1, -2)).reshape(nb, h, w, 2 * n, d)
     gx, gw = None, np.empty_like(wqkv)
     gl = None if lepe is None else np.empty_like(lepe)
     for gi in (1, 0):
         qkv, prob = kept[gi]
         xg, pp, qq = _stripe_plane(xd, gi)
-        gy = np.ascontiguousarray(gm[:, :, gi * n : (gi + 1) * n].transpose(_FROM_MERGED[gi]))
+        gy = np.ascontiguousarray(gm[..., gi * n : (gi + 1) * n, :].transpose(_FROM_MERGED[gi]))
         gqkv = _attend_backward(qkv, prob, gy.reshape(qkv.shape[1:]))
         if lepe is not None:
             cols, scatter, kern = _lepe_taps(qkv, lepe, gi, sw, pp, qq)
@@ -815,13 +866,14 @@ def _stripe_backward(xd, wqkv, wo, lepe, sw: int, state: tuple, g: np.ndarray, n
             gk = _unbroadcast(gp * cols, kern.shape).reshape(lepe.shape[1:])
             gl[gi] = gk if gi == 0 else gk.transpose(0, 2, 1, 3)
             del cols, gp
-        g4 = gqkv.reshape(1, 3 * n, pp * qq, d)
+        g4 = gqkv.reshape(1, 3 * n, nb * pp * qq, d)
         gw[gi] = np.matmul(np.swapaxes(xg, -1, -2), g4)[0]
         if need_gx:
             axes = [0, 1, -1]  # one contraction over the heads and the head dim
-            gxg = np.tensordot(g4, wqkv[gi : gi + 1], axes=(axes, axes)).reshape(pp, qq, c)
-            gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(1, 0, 2))
+            gxg = np.tensordot(g4, wqkv[gi : gi + 1], axes=(axes, axes)).reshape(nb, pp, qq, c)
+            gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(0, 2, 1, 3))
             gx = gxg if gx is None else gx + gxg
+    gx = None if gx is None else gx.reshape(shape)
     return (gx, gw, gwo) if lepe is None else (gx, gw, gwo, gl)
 
 
@@ -902,29 +954,31 @@ def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling of [H,W,C] by an integer factor: one matmul along
-    the rows, one along the columns, against fixed interpolation matrices."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample_bilinear expects [H,W,C], got {x.shape}")
-    h, w, c = x.shape
+    """Bilinear upsampling of [..., H,W,C] by an integer factor: one matmul
+    along the rows, one along the columns, against fixed interpolation
+    matrices."""
+    if x.ndim < 3:
+        raise DimensionError(f"upsample_bilinear expects [..., H,W,C], got {x.shape}")
+    *lead, h, w, c = x.shape
     dtype = x.data.dtype
-    rows = matmul(Tensor(_interp_matrix(h, factor, dtype)), reshape(x, (h, w * c)))
-    return matmul(Tensor(_interp_matrix(w, factor, dtype)), reshape(rows, (factor * h, w, c)))
+    rows = matmul(Tensor(_interp_matrix(h, factor, dtype)), reshape(x, (*lead, h, w * c)))
+    return matmul(Tensor(_interp_matrix(w, factor, dtype)), reshape(rows, (*lead, factor * h, w, c)))
 
 
 def pixel_shuffle(x: Tensor, factor: int, tail: int) -> Tensor:
-    """Move factor^2 channel groups to space: [H,W,factor^2*tail] -> [fH,fW,tail].
+    """Move factor^2 channel groups to space: [..., H,W,factor^2*tail] ->
+    [..., fH,fW,tail].
 
     Channel index (di*factor + dj)*tail + t lands at output pixel
     (i*factor + di, j*factor + dj), slot t.  Frozen layout; checkpoints
     depend on it.
     """
-    h, w, c = x.shape
+    *lead, h, w, c = x.shape
     if c != factor * factor * tail:
         raise DimensionError(f"pixel_shuffle: {c} channels != {factor}^2 * {tail}")
-    y = reshape(x, (h, w, factor, factor, tail))
-    y = permute(y, (0, 2, 1, 3, 4))
-    return reshape(y, (h * factor, w * factor, tail))
+    y = reshape(x, (*lead, h, w, factor, factor, tail))
+    y = permute(y, _shuffle_axes(len(lead)))
+    return reshape(y, (*lead, h * factor, w * factor, tail))
 
 
 # -- serialization (TSR1) ------------------------------------------------------

@@ -1,10 +1,11 @@
 """Training loop: shuffled minibatches, flip/rotation augmentation, the
 Dice + cross-entropy objective, momentum SGD, loss/metric logging.
 
-Gradients of the per-sample losses are accumulated and scaled by 1/batch,
-so a step uses the mean batch gradient.  Everything (shuffling, transform
-choice) draws from one seeded generator; two runs with the same seed and
-data produce bitwise-identical parameters.
+Each step stacks its augmented minibatch into one [B, H, W, C] array and
+records one tape: one forward, one loss (the mean of the per-image losses,
+so the step uses the mean batch gradient) and one backward.  Everything
+(shuffling, transform choice) draws from one seeded generator; two runs
+with the same seed and data produce bitwise-identical parameters.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import SegmentationSample
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .losses import LossConfig, cross_entropy_loss, dice_loss
 from .metrics import MetricsReport, evaluate_masks
-from .network import Model
+from .network import Model, NetworkConfig
 from .optim import SGD, OptimizerConfig
 from .tensor import Tape, Tensor, backward
 
@@ -64,8 +65,10 @@ class TrainResult:
 
 
 def combined_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> tuple[Tensor, float, float]:
-    """alpha * Dice + beta * cross-entropy, with the values of its Dice and
-    cross-entropy parts (0.0 for a part whose weight is 0; it is not run)."""
+    """alpha * Dice + beta * cross-entropy of logits [..., H, W, K], with the
+    values of its Dice and cross-entropy parts (0.0 for a part whose weight
+    is 0; it is not run).  Over a batch each part is the mean of its
+    per-image values."""
     total = dice = ce = None
     if cfg.alpha:
         dice = dice_loss(logits, labels, cfg.dice_smooth)
@@ -81,6 +84,7 @@ def predict_mask(model: Model, image: np.ndarray) -> np.ndarray:
 
 
 def evaluate_model(model: Model, samples: list[SegmentationSample], num_classes: int) -> MetricsReport:
+    """Metrics of one untaped forward per image."""
     pairs = [(predict_mask(model, s.image), s.mask) for s in samples]
     return evaluate_masks(pairs, num_classes)
 
@@ -97,9 +101,12 @@ def train(
     callback: Optional[Callable[[int, float], None]] = None,
 ) -> tuple[SGD, TrainResult]:
     """Run opt_cfg.max_iterations of SGD; returns the optimizer (for its
-    momentum state) and the loss / metrics history."""
+    momentum state) and the loss / metrics history.  Every train and val
+    sample must match the model's input size; one that does not raises
+    DimensionError before the first step."""
     if not samples:
         raise DataError("training set is empty")
+    check_sizes(model.config, [*samples, *(val_samples or [])])
     optimizer = SGD(model.named_parameters(), opt_cfg)
     rng = np.random.default_rng(opt_cfg.seed)
     result = TrainResult(losses=[])
@@ -112,19 +119,14 @@ def train(
                 order = list(rng.permutation(len(samples)))
             batch.append(samples[order.pop()])
 
+        if augment_enabled:
+            batch = [augment(sample, rng) for sample in batch]
+        images = Tensor(np.stack([s.image for s in batch]))
         optimizer.zero_grad()
-        tot_l = dice_l = ce_l = 0.0
-        inv_batch = 1.0 / len(batch)
-        for sample in batch:
-            if augment_enabled:
-                sample = augment(sample, rng)
-            with Tape() as tape:
-                loss, dice, ce = combined_loss(model.forward(Tensor(sample.image)), sample.mask, loss_cfg)
-                scaled = loss * inv_batch
-            backward(scaled, tape)
-            tot_l += loss.item() * inv_batch
-            dice_l += dice * inv_batch
-            ce_l += ce * inv_batch
+        with Tape() as tape:
+            loss, dice_l, ce_l = combined_loss(model.forward(images), np.stack([s.mask for s in batch]), loss_cfg)
+        backward(loss, tape)
+        tot_l = loss.item()
 
         lr = opt_cfg.lr_at(iteration)
         optimizer.step(lr)
@@ -135,6 +137,19 @@ def train(
             result.metrics.append((iteration, evaluate_model(model, val_samples, model.config.num_classes)))
     result.rng_state = rng.bit_generator.state
     return optimizer, result
+
+
+def check_sizes(cfg: NetworkConfig, samples: list[SegmentationSample]) -> None:
+    """Each image must be [S, S, Cin] and each mask [S, S] for the config's
+    input size S and input channels Cin; raises DimensionError naming the
+    first sample that is not."""
+    s = cfg.input_size
+    for sample in samples:
+        if sample.image.shape != (s, s, cfg.in_channels) or sample.mask.shape != (s, s):
+            raise DimensionError(
+                f"sample {sample.id}: image {sample.image.shape} and mask {sample.mask.shape} do not fit "
+                f"the config's input size {s} with {cfg.in_channels} channels"
+            )
 
 
 def losses_to_csv(rows: list[tuple[int, float, float, float, float]]) -> str:

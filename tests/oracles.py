@@ -2,7 +2,10 @@
 
 Everything here is deliberately written as plain numpy (loops where that is
 the most obvious form) and shares no code with the package internals, so a
-bug in the production path cannot hide in its own oracle.
+bug in the production path cannot hide in its own oracle.  The exceptions
+are the taped compositions at the end (``softmax`` and
+``conv2d_softmax_composition``): they record package primitives on the
+package's tape, as the network did before those steps became one entry.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import types
 
 import numpy as np
+
+from cswin_seg import tensor as T
+from cswin_seg.errors import DimensionError
 
 
 def conv2d_naive(x, w, bias=None, stride=1, padding=0):
@@ -496,3 +502,31 @@ def reachable_arrays(obj, seen=None):
     if isinstance(obj, types.FunctionType):
         return [a for cell in obj.__closure__ or () for a in reachable_arrays(cell.cell_contents, seen)]
     return []
+
+
+def softmax(x, axis=-1):
+    """Numerically stable softmax along `axis` (max subtraction) as one taped
+    primitive: the entry CARAFE's kernel predictor recorded after its
+    encoder conv before the two became one ``conv2d_softmax`` entry."""
+    if x.shape[axis] == 0:
+        raise DimensionError("softmax over an empty axis")
+    y = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        gx = np.multiply(g, y)
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
+
+    return T._emit("softmax", (x,), y, grad_fn)
+
+
+def conv2d_softmax_composition(x, w, bias, slots, padding=0):
+    """conv2d -> reshape -> softmax, the three entries ``T.conv2d_softmax``
+    replaces; the conv's output (the logits) stays on the tape."""
+    logits = T.conv2d(x, w, bias, padding=padding)
+    *lead, c = logits.shape
+    return softmax(T.reshape(logits, (*lead, c // slots, slots)), axis=-1)

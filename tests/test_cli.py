@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cswin_seg.cli import build_parser, main
-from cswin_seg.data import read_pgm, read_ppm
+from cswin_seg.data import read_pgm, read_ppm, write_pgm, write_ppm
 from cswin_seg.network import NetworkConfig
 
 
@@ -76,6 +76,24 @@ class TestTrainEvalPredict:
         rc = main(["train", "--data", data, "--out", str(tmp_path / "r"), "--config", "tiny", "--iters", "1"])
         assert rc == 1
         assert "input size" in capsys.readouterr().err
+
+    def test_val_size_mismatch_fails_before_the_first_step(self, tmp_path, capsys):
+        # every train and val sample is checked at entry, so a val image and
+        # mask at another size fail before any step runs or any file is written
+        data = tmp_path / "d"
+        main(["synth", "--out", str(data), "--n", "3", "--size", "32", "--classes", "3", "--val", "1"])
+        val = next(e for e in json.loads((data / "manifest.json").read_text())["samples"] if e["split"] == "val")
+        rng = np.random.default_rng(0)
+        write_ppm(data / val["image"], rng.uniform(0, 1, (64, 64, 3)))
+        write_pgm(data / val["mask"], rng.integers(0, 3, (64, 64)))
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--config", micro_config_file(tmp_path),
+                   "--iters", "2", "--batch", "1", "--eval-interval", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert "error:" in err and val["id"] in err
+        assert "iter" not in out
+        assert not (tmp_path / "r" / "loss.csv").exists()
 
     def test_manifest_without_size_trains(self, tmp_path, capsys):
         # train reads only the keys the loaders check, and the images' own size

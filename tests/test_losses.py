@@ -151,6 +151,31 @@ def _labels(rng, shape, k, absent):
     return labels
 
 
+class TestBatchedLosses:
+    @pytest.mark.parametrize("loss_fn", [dice_loss, cross_entropy_loss])
+    def test_batch_is_the_mean_of_per_image_losses(self, loss_fn):
+        # one Dice per image, not one pooled over the batch: an image whose
+        # only foreground class is absent from another changes the pooled
+        # value but not the per-image mean
+        rng = np.random.default_rng(5)
+        logits = rng.normal(0, 2, (3, 5, 6, 4))
+        labels = rng.integers(0, 4, (3, 5, 6))
+        labels[1] = np.where(labels[1] == 3, 0, labels[1])
+        batched = Tensor(logits, dtype="f64", requires_grad=True)
+        with Tape() as tape:
+            loss = loss_fn(batched, labels)
+        backward(loss, tape)
+        singles = []
+        for i in range(3):
+            x = Tensor(logits[i], dtype="f64", requires_grad=True)
+            with Tape() as tape:
+                li = loss_fn(x, labels[i])
+            backward(li, tape)
+            singles.append((li.item(), x.grad))
+        assert loss.item() == pytest.approx(np.mean([v for v, _ in singles]), rel=1e-12)
+        np.testing.assert_allclose(batched.grad, np.stack([g for _, g in singles]) / 3, rtol=1e-10, atol=1e-15)
+
+
 class TestComplexStepOracle:
     """Objective and logit gradient in f64 against the complex-step gradient
     of the plain numpy loss, which shares no derivation with the primitives."""

@@ -476,9 +476,10 @@ class TestBlockTape:
         assert peak <= 200 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
 
     def test_half_block_entry_counts(self):
-        # one entry per residual half-block
-        assert len(_taped_step(tiny_config())[0].entries) <= 60
-        assert len(_taped_step(default_config())[0].entries) <= 95
+        # one entry per residual half-block, and one conv2d_softmax entry per
+        # CARAFE kernel predictor's encoder conv, split and softmax
+        assert len(_taped_step(tiny_config())[0].entries) <= 51
+        assert len(_taped_step(default_config())[0].entries) <= 83
 
     def test_half_block_step_memory(self):
         # no layer-norm outputs, branch outputs or conv im2cols are kept
@@ -502,6 +503,83 @@ class TestProjectedUpsampleBudget:
         held, peak = _step_memory(default_config())
         assert held <= 112 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
         assert peak <= 125 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
+
+
+class TestKernelFieldTape:
+    def test_no_kernel_logits_are_kept(self):
+        # each kernel predictor records conv2d, conv2d_softmax; no softmax
+        # entry and no encoder logits beside its field
+        tape, _ = _taped_step(tiny_config())
+        ops = [op for *_, op in tape.entries]
+        assert ops.count("conv2d_softmax") == 4 and "softmax" not in ops
+
+    def test_default_forward_memory(self):
+        # about 5 MiB of encoder logits less than the 108.1 MiB held before
+        held, _ = _step_memory(default_config())
+        assert held <= 105 * 2**20, f"held {held / 2**20:.1f} MiB after forward"
+
+
+def _batch(cfg, n, seed=0):
+    rng = np.random.default_rng(seed)
+    s = cfg.input_size
+    return rng.uniform(0, 1, (n, s, s, 3)).astype(np.float32), rng.integers(0, cfg.num_classes, (n, s, s))
+
+
+_VARIANTS = [{}, {"lepe_enabled": True}, {"upsampler": "bilinear"}, {"upsampler": "transposed_conv"}]
+
+
+class TestBatchAxis:
+    """A batch [B, H, W, 3] runs the code a single image [H, W, 3] runs, with
+    every image's rows in one matmul."""
+
+    @pytest.mark.parametrize("overrides", _VARIANTS)
+    def test_batched_logits_equal_per_image_forwards(self, overrides):
+        cfg = tiny_config(**overrides)
+        model = Model.create(cfg, seed=0)
+        images, _ = _batch(cfg, 4)
+        batched = model.forward(Tensor(images)).data
+        single = np.stack([model.forward(Tensor(im)).data for im in images])
+        assert batched.shape == (4, 64, 64, cfg.num_classes) and batched.dtype == np.float32
+        np.testing.assert_allclose(batched, single, rtol=1e-5, atol=1e-6 * np.abs(single).max())
+
+    @pytest.mark.parametrize("overrides", _VARIANTS)
+    def test_batch_of_one_is_bitwise_the_image(self, overrides):
+        cfg = tiny_config(**overrides)
+        model = Model.create(cfg, seed=0)
+        images, labels = _batch(cfg, 1)
+
+        def step(image, mask):
+            with Tape() as tape:
+                logits = model.forward(Tensor(image))
+                loss = combined_loss(logits, mask, LossConfig())[0]
+            backward(loss, tape)
+            grads = [t.grad.tobytes() for t in model.parameters()]
+            for t in model.parameters():
+                t.zero_grad()
+            return logits.data.reshape(image.shape[-3:-1] + (cfg.num_classes,)).tobytes(), loss.data.tobytes(), grads
+
+        assert step(images, labels) == step(images[0], labels[0])
+
+    def test_batched_gradients_equal_mean_of_per_sample(self):
+        cfg = tiny_config()
+        model = Model.create(cfg, seed=0)
+        images, labels = _batch(cfg, 4)
+
+        def grads(image, mask):
+            with Tape() as tape:
+                loss = combined_loss(model.forward(Tensor(image)), mask, LossConfig())[0]
+            backward(loss, tape)
+            out = {n: t.grad.astype(np.float64) for n, t in model.named_parameters()}
+            for t in model.parameters():
+                t.zero_grad()
+            return out, float(loss.item())
+
+        batched, loss = grads(images, labels)
+        per = [grads(images[i], labels[i]) for i in range(4)]
+        assert loss == pytest.approx(np.mean([l for _, l in per]), rel=1e-5)
+        for name, g in batched.items():
+            mean = sum(p[name] for p, _ in per) / 4
+            np.testing.assert_allclose(g, mean, rtol=1e-4, atol=1e-5 * np.abs(mean).max(), err_msg=name)
 
 
 class TestCounting:

@@ -13,11 +13,13 @@ from cswin_seg.tensor import Tape, Tensor, backward
 from oracles import (
     attention_naive,
     conv2d_naive,
+    conv2d_softmax_composition,
     depthwise_conv2d_naive,
     gelu_naive,
     im2col_taps,
     layer_norm_naive,
     reachable_arrays,
+    softmax,
     softmax_naive,
     stripe_attention_composition,
     upsample_bilinear_naive,
@@ -72,17 +74,17 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(Tensor([0.0, 0.0]))
+        out = softmax(Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
     def test_large_logits_do_not_overflow(self):
-        out = T.softmax(Tensor([1000.0, 0.0], dtype="f64"))
+        out = softmax(Tensor([1000.0, 0.0], dtype="f64"))
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = T.softmax(randt(rng, (7, 5)), axis=-1)
+        out = softmax(randt(rng, (7, 5)), axis=-1)
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(7), atol=1e-6)
         assert (out.data >= 0).all()
 
@@ -90,11 +92,11 @@ class TestSoftmax:
         rng = np.random.default_rng(3)
         x = randt(rng, (5,))
         w = Tensor(rng.uniform(-1, 1, (5,)), dtype="f64")
-        check_gradients(lambda: T.tsum(T.softmax(x) * w), [("x", x)])
+        check_gradients(lambda: T.tsum(softmax(x) * w), [("x", x)])
 
     def test_empty_axis_rejected(self):
         with pytest.raises(DimensionError):
-            T.softmax(Tensor(np.zeros((3, 0))))
+            softmax(Tensor(np.zeros((3, 0))))
 
 
 class TestLayerNorm:
@@ -127,6 +129,52 @@ class TestLayerNorm:
             lambda: T.tsum(T.layer_norm(x, gamma, beta) * w),
             [("x", x), ("gamma", gamma), ("beta", beta)],
         )
+
+
+class TestConv2dSoftmax:
+    """CARAFE's kernel predictor records its encoder conv, the split into
+    kernels and their softmax as one conv2d_softmax entry: bitwise equal to
+    the conv2d -> reshape -> softmax composition, without its logits."""
+
+    @staticmethod
+    def _operands(dtype, lead):
+        rng = np.random.default_rng(40)
+        x = randt(rng, (*lead, 5, 6, 3), dtype, True)
+        w = randt(rng, (3, 3, 3, 8), dtype, True)
+        b = randt(rng, (8,), dtype, True)
+        return x, w, b, Tensor(rng.uniform(-1, 1, (*lead, 5, 6, 2, 4)), dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_equals_composition_bitwise(self, dtype, lead):
+        results = []
+        for fn in (T.conv2d_softmax, conv2d_softmax_composition):
+            x, w, b, g = self._operands(dtype, lead)
+            with Tape() as tape:
+                y = fn(x, w, b, 4, padding=1)
+                loss = T.tsum(y * g)
+            backward(loss, tape)
+            results.append([y.data, x.grad, w.grad, b.grad])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_entry_keeps_no_logits(self):
+        # the softmax runs in place on the conv's output: the only array of
+        # the field's size that the entry reaches is the field itself
+        x, w, b, _ = self._operands("f32", (2,))
+        with Tape() as tape:
+            y = T.conv2d_softmax(x, w, b, 4, padding=1)
+        (entry,) = tape.entries
+        assert entry[3] == "conv2d_softmax"
+        held = reachable_arrays(entry[:3])
+        assert any(a is y.data for a in held)
+        assert [a.shape for a in held if a.size == y.size and not np.shares_memory(a, y.data)] == []
+
+    def test_groups_must_divide_channels(self):
+        x, w, b, _ = self._operands("f64", ())
+        with pytest.raises(DimensionError):
+            T.conv2d_softmax(x, w, b, 3, padding=1)
 
 
 def _entry_and_gradients(fn, inputs, g):
@@ -215,7 +263,7 @@ class TestInPlaceElementwise:
     def test_softmax(self, dtype, axis):
         _, x, g = self._inputs(dtype, (6, 11, 37), 31)
         x0, g0 = x.data.copy(), g.copy()
-        y, (dx,) = _entry_and_gradients(lambda t: T.softmax(t, axis=axis), (x,), g)
+        y, (dx,) = _entry_and_gradients(lambda t: softmax(t, axis=axis), (x,), g)
         y0 = y.copy()
         want_y, want_dx = softmax_naive(x0, g0, axis)
         self._assert_bitwise(y, want_y)
@@ -758,7 +806,7 @@ class TestDeterminism:
         def run(rng):
             x = Tensor(rng.standard_normal((8, 8, 3)), dtype="f32")
             w = Tensor(rng.standard_normal((3, 3, 3, 4)), dtype="f32")
-            return T.conv2d(T.softmax(x), w, Tensor.zeros((4,)), padding=1).data
+            return T.conv2d(softmax(x), w, Tensor.zeros((4,)), padding=1).data
 
         assert (run(rng1) == run(rng2)).all()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cswin_seg.data import generate_sample
-from cswin_seg.errors import ConfigError, NumericError
+from cswin_seg.errors import ConfigError, DimensionError, NumericError
 from cswin_seg.losses import LossConfig
 from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import OptimizerConfig
@@ -137,6 +137,18 @@ class TestTrainLoop:
         cfg = OptimizerConfig(lr=0.01, batch_size=1, max_iterations=1, seed=0)
         with pytest.raises(NumericError, match="op 'mlp'"):
             train(model, micro_dataset(1, size=64, classes=4), cfg, LossConfig(), augment_enabled=False)
+
+    def test_mis_sized_val_sample_fails_before_the_first_step(self):
+        # train and val samples are checked at entry, not when a batch is stacked
+        model = Model.create(micro(), seed=0)
+        val = micro_dataset(1, seed=1)[0]
+        val.mask = np.zeros((16, 16), dtype=val.mask.dtype)
+        steps = []
+        cfg = OptimizerConfig(lr=0.01, batch_size=2, max_iterations=1, seed=0)
+        with pytest.raises(DimensionError, match=f"sample {val.id}:"):
+            train(model, micro_dataset(2), cfg, LossConfig(), val_samples=[val], eval_interval=1,
+                  callback=lambda it, loss: steps.append(it))
+        assert steps == []
 
 
 def test_package_attribute_train_is_the_module():
