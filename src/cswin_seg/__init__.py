@@ -5,7 +5,7 @@ attention, content-aware upsampling, combined Dice/cross-entropy training,
 metrics) is inspectable and verifiable end to end.
 """
 
-from .attention import AttentionConfig, CSWinBlockParams, cswin_attention, cswin_block
+from .attention import AttentionConfig, CSWinBlockParams, cswin_block
 from .carafe import KernelPredictorParams, UpsampleConfig, carafe_upsample, predict_kernels, reassemble
 from .checkpoint import Checkpoint, load_checkpoint, restore_model, save_checkpoint, snapshot
 from .complexity import count_flops, count_params
@@ -40,7 +40,6 @@ __all__ = [
     "count_flops",
     "count_params",
     "cross_entropy_loss",
-    "cswin_attention",
     "cswin_block",
     "default_config",
     "dice_loss",

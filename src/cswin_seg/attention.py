@@ -2,14 +2,13 @@
 
 The feature map is cut into non-overlapping stripes of width ``sw``; half
 of the attention heads attend inside horizontal stripes (sw x W tokens),
-the other half inside vertical stripes (H x sw tokens).  The whole layer is
-one ``tensor.stripe_attention`` entry: per group, a single projection gives
-the queries, keys and values of all its heads, and heads and stripes share
-the leading axis of one batched attention (scores, softmax and value
-product).  The vertical group runs on the transposed map, where its stripes
-are rows.  Head outputs are merged channel-wise (horizontal heads first)
-and fused by a square output projection, so the block keeps its
-[..., H, W, C] shape; leading axes are a batch.
+the other half inside vertical stripes (H x sw tokens).  Per group, a single
+projection gives the queries, keys and values of all its heads, and heads
+and stripes share the leading axis of one batched attention (scores,
+softmax and value product).  The vertical group runs on the transposed map,
+where its stripes are rows.  Head outputs are merged channel-wise
+(horizontal heads first) and fused by a square output projection, so the
+block keeps its [..., H, W, C] shape; leading axes are a batch.
 
 Optionally each head adds a locally-enhanced positional term: a 3x3
 depthwise convolution of its value map, applied inside the stripe.  With
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .initializers import ParamSource, ones, trunc_normal, zeros
-from .tensor import Tensor, residual_mlp, residual_stripe_attention, stripe_attention
+from .tensor import Tensor, residual_mlp, residual_stripe_attention
 
 
 @dataclass
@@ -56,7 +55,8 @@ class AttentionConfig:
         return self.channels // self.heads
 
 
-def _check_fits(x: Tensor, config: AttentionConfig) -> None:
+def cswin_block(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
+    """Pre-norm transformer block: attention residual, then MLP residual."""
     if x.ndim < 3:
         raise DimensionError(f"attention expects [..., H,W,C], got {x.shape}")
     h, w, c = x.shape[-3:]
@@ -65,17 +65,6 @@ def _check_fits(x: Tensor, config: AttentionConfig) -> None:
     for direction, extent in (("horizontal", h), ("vertical", w)):
         if extent % config.sw:
             raise ConfigError(f"stripe width {config.sw} does not divide {direction} extent {extent}")
-
-
-def cswin_attention(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
-    """Two-group stripe attention with output projection; [..., H,W,C] -> [..., H,W,C]."""
-    _check_fits(x, config)
-    return stripe_attention(x, params.wqkv, params.wo, params.lepe, config.sw)
-
-
-def cswin_block(x: Tensor, params: "CSWinBlockParams", config: AttentionConfig) -> Tensor:
-    """Pre-norm transformer block: attention residual, then MLP residual."""
-    _check_fits(x, config)
     p = params
     x = residual_stripe_attention(x, p.ln1_g, p.ln1_b, p.wqkv, p.wo, p.lepe, config.sw)
     return residual_mlp(x, p.ln2_g, p.ln2_b, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2)

@@ -4,12 +4,15 @@ Subcommands: synth (dataset generation), train, eval, predict, gradcheck
 (finite-difference suite), count (parameters/FLOPs vs the reference
 figures).  Every subcommand is a pure function of its flags plus seeds;
 exit code 0 means success, 1 a domain error (bad config, bad file,
-numeric failure), 2 a usage error.
+numeric failure), 2 a usage error.  A reader that closes stdout early
+(``cswin-seg count | head -3``) is not an error: the command stops quietly
+with 141, the status a shell reports for a writer that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from .optim import OptimizerConfig
 from .train import check_sizes, evaluate_model, losses_to_csv, metrics_to_csv, predict_mask, train
 
 _ERRORS = (ConfigError, ContractError, DataError, DimensionError, FormatError, NumericError, OSError)
+_CLOSED_STDOUT = 128 + 13  # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended
 
 
 def resolve_config(spec: str) -> NetworkConfig:
@@ -212,7 +216,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note does: the flush at exit then
+        # writes to devnull and raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _CLOSED_STDOUT
     except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

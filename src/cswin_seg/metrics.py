@@ -42,10 +42,14 @@ def boundary_points(mask: np.ndarray) -> np.ndarray:
     return np.argwhere(m & ~interior)
 
 
+_PAIRS_PER_CHUNK = 1 << 18  # about 4 MiB per [rows, |dst|, 2] int64 difference array
+
+
 def _directed_min_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    # squared distances, sqrt once at the end; chunked to bound memory
+    # squared distances, sqrt once at the end; each chunk of source rows
+    # pairs with every dst point, so its row count shrinks as dst grows
     out = np.empty(len(src))
-    step = 4096
+    step = max(1, _PAIRS_PER_CHUNK // len(dst))
     for i in range(0, len(src), step):
         chunk = src[i : i + step]
         d2 = ((chunk[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)

@@ -268,9 +268,6 @@ class Model:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self.parameters())
-
     # -- forward ----------------------------------------------------------------
 
     def token_embed(self, image: Tensor) -> Tensor:

@@ -12,22 +12,24 @@ bookkeeping.
 Design notes:
   * Leading batch axes.  Every primitive the model records takes
     [..., H, W, C] maps and treats the leading axes as a batch: conv2d,
-    reassemble and mlp run one matmul over every image's rows, and
-    stripe_attention puts heads, batch and stripes on one leading attention
-    axis.  A training step records one tape for its whole minibatch; a
-    single [H, W, C] image is the same code with no leading axis.  Weight
-    gradients reduce over all B*N rows at once, so a batch's gradients equal
-    the sum of per-image ones up to rounding, not bitwise.
-  * mlp's gelu uses the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+    reassemble and the MLP half-block run one matmul over every image's
+    rows, and the attention half-block puts heads, batch and stripes on one
+    leading attention axis.  A training step records one tape for its whole
+    minibatch; a single [H, W, C] image is the same code with no leading
+    axis.  Weight gradients reduce over all B*N rows at once, so a batch's
+    gradients equal the sum of per-image ones up to rounding, not bitwise.
+  * The MLP's gelu uses the tanh approximation
+    0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
   * conv2d is one primitive: a patch gather (im2col) feeding one matmul.
     conv2d_softmax is a conv whose output channel groups are softmax-
     normalized in place (CARAFE's kernel predictor), so its logits are not kept.
   * A CSWin block is two entries, one per residual half-block x + f(layer_norm(x)):
     ``residual_stripe_attention`` records a stripe_attention entry (f is both
     stripe groups, their projections, LePE, head merge and output projection)
-    and ``residual_mlp`` an mlp entry (f is both linears and gelu).  The
-    stand-alone layer_norm, stripe_attention and mlp primitives share their
-    kernels, so the half-blocks equal those three-entry compositions bitwise.
+    and ``residual_mlp`` an mlp entry (f is both linears and gelu).  No
+    stand-alone layer_norm, attention or mlp entry exists: the array kernels
+    (``_layer_norm``, ``_stripe``, ``_mlp`` and their backward functions)
+    run only inside the half-blocks.
   * CARAFE reassembly is one primitive, ``reassemble``; the rest of the
     upsampler (``carafe.py``) is core ops.  Bilinear upsampling is a
     composition: two ``matmul``s against fixed interpolation matrices.
@@ -39,23 +41,22 @@ Design notes:
     cheap to rebuild.  Each entry holds its inputs, its output and a closure
     over the arrays its gradient needs: conv2d keeps only its inputs and
     gathers its im2col again; conv2d_softmax keeps its inputs and the
-    normalized result; layer_norm keeps its per-row mean and 1/std,
-    not x-hat; mlp keeps its pre-activation, not gelu's output;
-    stripe_attention keeps each group's q|k|v and probabilities and the
-    merged heads, and transposes the map and gathers the LePE neighborhoods
-    again; a half-block keeps x, the norm's mean and 1/std and what f keeps,
-    and rebuilds layer_norm(x) once for both gradients; reassemble keeps only
-    its inputs and gathers again.  ``reshape`` returns a view (all tensor
-    data is C-contiguous).  ``backward`` pops each entry and drops its own
-    reference to the entry's output before the gradient runs, so activations
-    are freed as the reverse walk passes them instead of when it returns, and
-    an output no gradient reads is gone before that gradient allocates.
-  * layer_norm, conv2d_softmax, mlp, stripe_attention and the half-blocks
-    compute in place: they allocate their results and a few scratch arrays
-    and write only into those, never into the upstream gradient (it may be a
-    view shared with another op's gradient).  They keep the order of
-    operations of the plain expressions, or of the composition they
-    replaced, so they are bitwise equal to them.
+    normalized result; a half-block keeps x, the norm's per-row mean and
+    1/std (not x-hat) and what f reads, and rebuilds layer_norm(x) once for
+    both gradients.  f = mlp keeps its pre-activation, not gelu's output;
+    f = attention keeps each group's q|k|v and probabilities and the merged
+    heads, and transposes the map and gathers the LePE neighborhoods again.
+    reassemble keeps only its inputs and gathers again.  ``reshape`` returns
+    a view (all tensor data is C-contiguous).  ``backward`` pops each entry
+    and drops its own reference to the entry's output before the gradient
+    runs, so activations are freed as the reverse walk passes them instead of
+    when it returns, and an output no gradient reads is gone before that
+    gradient allocates.
+  * conv2d_softmax and the half-blocks compute in place: they allocate their
+    results and a few scratch arrays and write only into those, never into
+    the upstream gradient (it may be a view shared with another op's
+    gradient).  They keep the order of operations of the plain expressions,
+    or of the composition they replaced, so they are bitwise equal to them.
   * Freed memory stays in the process.  glibc returns blocks above its mmap
     threshold to the kernel when they are freed and trims the top of the heap,
     so each taped step would fault its activations in again, page by page.
@@ -77,7 +78,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .atomic import write_atomic
 from .errors import ContractError, DimensionError, FormatError, NumericError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -413,14 +413,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), out, grad_fn)
 
 
-def _check_mlp(opname: str, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
-    _check_dtypes(opname, x, w1, b1, w2, b2)
-    ok = x.ndim >= 1 and w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:] and b2.shape == w2.shape[1:]
-    if not ok or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]:
-        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2))
-        raise DimensionError(f"{opname} needs [..., C], [C, Ch], [Ch], [Ch, Cout], [Cout], got {shapes}")
-
-
 def _mlp(x2: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gelu(x2 @ w1 + b1) @ w2 + b2 of rows x2 [N, C]: the output [N, Cout]
     and the pre-activation h, which is all the gradient keeps."""
@@ -460,22 +452,6 @@ def _mlp_backward(x2: np.ndarray, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     dh *= ga
     del t, s, ga
     return np.matmul(dh, w1.T), x2.T @ dh, dh.sum(axis=0), gw2, g2.sum(axis=0)
-
-
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis: x [..., C] -> [..., Cout].
-
-    One primitive; both biases are added in place.  The entry keeps the
-    pre-activation h = x @ w1 + b1, not gelu(h), and reads x again through
-    its tensor, so it holds no view of an array that x's producer dropped."""
-    _check_mlp("mlp", x, w1, b1, w2, b2)
-    out, h = _mlp(x.data.reshape(-1, x.shape[-1]), w1.data, b1.data, w2.data, b2.data)
-
-    def grad_fn(g):
-        gx, *gw = _mlp_backward(x.data.reshape(-1, x.shape[-1]), h, w1.data, w2.data, g.reshape(-1, g.shape[-1]))
-        return (gx.reshape(x.shape), *gw)
-
-    return _emit("mlp", (x, w1, b1, w2, b2), out.reshape(x.shape[:-1] + out.shape[1:]), grad_fn)
 
 
 # -- normalization and attention scalars ---------------------------------------
@@ -551,20 +527,6 @@ def _layer_norm_backward(xhat: np.ndarray, gamma: np.ndarray, inv: np.ndarray, g
     dx -= s
     dx *= inv  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     return dx, dgamma, dbeta
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    The entry keeps the input and the per-row mean and 1/std ([..., 1]
-    arrays); backward rebuilds x-hat from them in two passes."""
-    _check_layer_norm("layer_norm", x, gamma, beta)
-    out, mean, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
-
-    def grad_fn(g):
-        return _layer_norm_backward(_xhat(x.data, mean, inv), gamma.data, inv, g)
-
-    return _emit("layer_norm", (x, gamma, beta), out, grad_fn)
 
 
 # -- convolution machinery -----------------------------------------------------
@@ -750,53 +712,6 @@ _TO_MERGED = ((1, 2, 3, 0, 4), (1, 3, 2, 0, 4))
 _FROM_MERGED = ((3, 0, 1, 2, 4), (3, 0, 2, 1, 4))
 
 
-def stripe_attention(x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int) -> Tensor:
-    """Cross-shaped-window self-attention of x [..., H,W,C] as one primitive
-    -> [..., H,W,C].
-
-    Group 0 attends inside horizontal stripes of sw rows, group 1 inside
-    vertical stripes of sw columns; group 1 runs on the transposed map, where
-    its stripes are rows.  wqkv [2, 3n, C, d] projects each group's n query
-    heads, then its keys, then its values, with n*d = C/2.  lepe [2, n, k, k, d]
-    (or None) adds a k x k depthwise convolution of each head's values inside
-    its stripe, kernels given in the (H, W) geometry.  Heads, the leading
-    (batch) axes and stripes share one leading attention axis, in that order.
-    The heads' outputs are merged channel-wise, group 0 first, into [BHW, C]
-    and projected by wo [C, C].
-
-    The entry keeps each group's stacked q|k|v and probabilities and the
-    merged heads.  Backward transposes x again for group 1 and gathers the
-    LePE neighborhoods of v again.  Every gradient makes the same numpy calls
-    as the composition of matmul, attention, depthwise convolution, permute
-    and concat that this primitive replaces, so both are bitwise equal.
-    """
-    inputs = _check_stripe("stripe_attention", x, wqkv, wo, lepe, sw)
-    ld = None if lepe is None else lepe.data
-    out, kept = _stripe(x.data, wqkv.data, wo.data, ld, sw)
-
-    def grad_fn(g):
-        return _stripe_backward(x.data, wqkv.data, wo.data, ld, sw, kept, g, x.requires_grad)
-
-    return _emit("stripe_attention", inputs, out.reshape(x.shape), grad_fn)
-
-
-def _check_stripe(opname: str, x: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int) -> tuple:
-    """Check stripe attention's operands; returns them as the entry's inputs."""
-    if x.ndim < 3 or wqkv.ndim != 4:
-        raise DimensionError(f"{opname} expects x [..., H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
-    h, w, c = x.shape[-3:]
-    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
-    if wqkv.shape != (2, 3 * n, c, d) or 2 * n * d != c or wo.shape != (c, c):
-        raise DimensionError(f"{opname}: wqkv {wqkv.shape} or wo {wo.shape} do not fit C={c}")
-    if lepe is not None and (lepe.ndim != 5 or lepe.shape != (2, n, lepe.shape[2], lepe.shape[2], d) or lepe.shape[2] % 2 == 0):
-        raise DimensionError(f"{opname}: lepe {lepe.shape} is not [2, {n}, k, k, {d}] with k odd")
-    if sw < 1 or h % sw or w % sw:
-        raise DimensionError(f"{opname}: stripe width {sw} does not divide {h} x {w}")
-    inputs = (x, wqkv, wo) if lepe is None else (x, wqkv, wo, lepe)
-    _check_dtypes(opname, *inputs)
-    return inputs
-
-
 def _stripe_plane(xd: np.ndarray, gi: int) -> tuple[np.ndarray, int, int]:
     """Group gi's maps [B, P, Q, C] of xd [B, H, W, C], stripes along P,
     flattened to [BPQ, C]."""
@@ -839,9 +754,9 @@ def _stripe(xd: np.ndarray, wqkv: np.ndarray, wo: np.ndarray, lepe: Optional[np.
     return np.matmul(merged, wo), (kept, merged)
 
 
-def _stripe_backward(xd, wqkv, wo, lepe, sw: int, state: tuple, g: np.ndarray, need_gx: bool) -> tuple:
+def _stripe_backward(xd, wqkv, wo, lepe, sw: int, state: tuple, g: np.ndarray) -> tuple:
     """The gradients (x, wqkv, wo[, lepe]) of ``_stripe`` for the output
-    gradient g [..., H,W,C]; x's is None unless need_gx."""
+    gradient g [..., H,W,C]."""
     kept, merged = state
     shape = xd.shape
     h, w, c = shape[-3:]
@@ -868,12 +783,11 @@ def _stripe_backward(xd, wqkv, wo, lepe, sw: int, state: tuple, g: np.ndarray, n
             del cols, gp
         g4 = gqkv.reshape(1, 3 * n, nb * pp * qq, d)
         gw[gi] = np.matmul(np.swapaxes(xg, -1, -2), g4)[0]
-        if need_gx:
-            axes = [0, 1, -1]  # one contraction over the heads and the head dim
-            gxg = np.tensordot(g4, wqkv[gi : gi + 1], axes=(axes, axes)).reshape(nb, pp, qq, c)
-            gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(0, 2, 1, 3))
-            gx = gxg if gx is None else gx + gxg
-    gx = None if gx is None else gx.reshape(shape)
+        axes = [0, 1, -1]  # one contraction over the heads and the head dim
+        gxg = np.tensordot(g4, wqkv[gi : gi + 1], axes=(axes, axes)).reshape(nb, pp, qq, c)
+        gxg = gxg if gi == 0 else np.ascontiguousarray(gxg.transpose(0, 2, 1, 3))
+        gx = gxg if gx is None else gx + gxg
+    gx = gx.reshape(shape)
     return (gx, gw, gwo) if lepe is None else (gx, gw, gwo, gl)
 
 
@@ -911,25 +825,55 @@ def _residual(opname: str, x: Tensor, gamma: Tensor, beta: Tensor, weights: tupl
 def residual_stripe_attention(
     x: Tensor, gamma: Tensor, beta: Tensor, wqkv: Tensor, wo: Tensor, lepe: Optional[Tensor], sw: int, eps: float = 1e-5
 ) -> Tensor:
-    """x + stripe_attention(layer_norm(x, gamma, beta), wqkv, wo, lepe, sw):
-    a CSWin block's attention half as one ``stripe_attention`` entry."""
-    weights = _check_stripe("residual_stripe_attention", x, wqkv, wo, lepe, sw)[1:]
-    _check_layer_norm("residual_stripe_attention", x, gamma, beta)
+    """x + attention(layer_norm(x, gamma, beta)): a CSWin block's attention
+    half as one ``stripe_attention`` entry, x [..., H,W,C] -> [..., H,W,C].
+
+    The attention is cross-shaped-window self-attention: group 0 attends
+    inside horizontal stripes of sw rows, group 1 inside vertical stripes of
+    sw columns; group 1 runs on the transposed map, where its stripes are
+    rows.  wqkv [2, 3n, C, d] projects each group's n query heads, then its
+    keys, then its values, with n*d = C/2.  lepe [2, n, k, k, d] (or None)
+    adds a k x k depthwise convolution of each head's values inside its
+    stripe, kernels given in the (H, W) geometry.  Heads, the leading
+    (batch) axes and stripes share one leading attention axis, in that
+    order.  The heads' outputs are merged channel-wise, group 0 first, into
+    [BHW, C] and projected by wo [C, C].  The attention's gradients make the
+    same numpy calls as its composition of matmul, attention, depthwise
+    convolution, permute and concat, so both are bitwise equal."""
+    opname = "residual_stripe_attention"
+    if x.ndim < 3 or wqkv.ndim != 4:
+        raise DimensionError(f"{opname} expects x [..., H,W,C] and wqkv [2, 3n, C, d], got {x.shape} and {wqkv.shape}")
+    h, w, c = x.shape[-3:]
+    n, d = wqkv.shape[1] // 3, wqkv.shape[3]
+    if wqkv.shape != (2, 3 * n, c, d) or 2 * n * d != c or wo.shape != (c, c):
+        raise DimensionError(f"{opname}: wqkv {wqkv.shape} or wo {wo.shape} do not fit C={c}")
+    if lepe is not None and (lepe.ndim != 5 or lepe.shape != (2, n, lepe.shape[2], lepe.shape[2], d) or lepe.shape[2] % 2 == 0):
+        raise DimensionError(f"{opname}: lepe {lepe.shape} is not [2, {n}, k, k, {d}] with k odd")
+    if sw < 1 or h % sw or w % sw:
+        raise DimensionError(f"{opname}: stripe width {sw} does not divide {h} x {w}")
+    weights = (wqkv, wo) if lepe is None else (wqkv, wo, lepe)
+    _check_dtypes(opname, x, *weights)
+    _check_layer_norm(opname, x, gamma, beta)
     ld = None if lepe is None else lepe.data
 
     def f(y):
         return _stripe(y, wqkv.data, wo.data, ld, sw)
 
     def f_backward(y, kept, g):
-        return _stripe_backward(y, wqkv.data, wo.data, ld, sw, kept, g, True)
+        return _stripe_backward(y, wqkv.data, wo.data, ld, sw, kept, g)
 
     return _residual("stripe_attention", x, gamma, beta, weights, f, f_backward, eps)
 
 
 def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
-    """x + mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2): a CSWin block's
-    MLP half as one ``mlp`` entry; the MLP maps C channels back to C."""
-    _check_mlp("residual_mlp", x, w1, b1, w2, b2)
+    """x + mlp(layer_norm(x, gamma, beta)): a CSWin block's MLP half as one
+    ``mlp`` entry, where mlp(y) = gelu(y @ w1 + b1) @ w2 + b2 maps the C
+    channels of x [..., C] back to C."""
+    _check_dtypes("residual_mlp", x, w1, b1, w2, b2)
+    ok = x.ndim >= 1 and w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:] and b2.shape == w2.shape[1:]
+    if not ok or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]:
+        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2))
+        raise DimensionError(f"residual_mlp needs [..., C], [C, Ch], [Ch], [Ch, Cout], [Cout], got {shapes}")
     _check_layer_norm("residual_mlp", x, gamma, beta)
     c = x.shape[-1]
     if w2.shape[1] != c:
@@ -1034,13 +978,3 @@ def read_record(f, size: int) -> Tensor:
             raise FormatError("TSR1 tensor truncated in payload")
         done += n
     return Tensor(data.astype(_CODE_DTYPES[code], copy=False))
-
-
-def save_tensor(path, t: Tensor) -> None:
-    write_atomic(path, tensor_record(t))
-
-
-def load_tensor(path) -> Tensor:
-    """Read a TSR1 file; the file must hold exactly one record."""
-    with open(path, "rb") as f:
-        return read_record(f, os.fstat(f.fileno()).st_size)

@@ -3,9 +3,12 @@
 Everything here is deliberately written as plain numpy (loops where that is
 the most obvious form) and shares no code with the package internals, so a
 bug in the production path cannot hide in its own oracle.  The exceptions
-are the taped compositions at the end (``softmax`` and
-``conv2d_softmax_composition``): they record package primitives on the
-package's tape, as the network did before those steps became one entry.
+are the taped entries at the end.  ``softmax`` and
+``conv2d_softmax_composition`` record package primitives on the package's
+tape, as the network did before those steps became one entry.
+``layer_norm``, ``mlp`` and ``stripe_attention`` record the package's array
+kernels as stand-alone entries, so tests can compose the three entries a
+residual half-block replaces and check the kernels by finite differences.
 """
 
 from __future__ import annotations
@@ -530,3 +533,39 @@ def conv2d_softmax_composition(x, w, bias, slots, padding=0):
     logits = T.conv2d(x, w, bias, padding=padding)
     *lead, c = logits.shape
     return softmax(T.reshape(logits, (*lead, c // slots, slots)), axis=-1)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Last-axis layer norm as one taped entry of the package's kernels; it
+    keeps the per-row mean and 1/std and rebuilds x-hat in backward."""
+    out, mean, inv = T._layer_norm(x.data, gamma.data, beta.data, eps)
+
+    def grad_fn(g):
+        return T._layer_norm_backward(T._xhat(x.data, mean, inv), gamma.data, inv, g)
+
+    return T._emit("layer_norm", (x, gamma, beta), out, grad_fn)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x [..., C] as one
+    taped entry of the package's kernels; it keeps the pre-activation."""
+    out, h = T._mlp(x.data.reshape(-1, x.shape[-1]), w1.data, b1.data, w2.data, b2.data)
+
+    def grad_fn(g):
+        gx, *gw = T._mlp_backward(x.data.reshape(-1, x.shape[-1]), h, w1.data, w2.data, g.reshape(-1, g.shape[-1]))
+        return (gx.reshape(x.shape), *gw)
+
+    return T._emit("mlp", (x, w1, b1, w2, b2), out.reshape(x.shape[:-1] + out.shape[1:]), grad_fn)
+
+
+def stripe_attention(x, wqkv, wo, lepe, sw):
+    """Cross-shaped-window attention of x [..., H,W,C] (no norm, no
+    residual) as one taped entry of the package's kernels."""
+    ld = None if lepe is None else lepe.data
+    out, kept = T._stripe(x.data, wqkv.data, wo.data, ld, sw)
+
+    def grad_fn(g):
+        return T._stripe_backward(x.data, wqkv.data, wo.data, ld, sw, kept, g)
+
+    inputs = (x, wqkv, wo) if lepe is None else (x, wqkv, wo, lepe)
+    return T._emit("stripe_attention", inputs, out.reshape(x.shape), grad_fn)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cswin_seg import complexity
-from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_attention
+from cswin_seg import tensor as T
+from cswin_seg.atomic import write_atomic
+from cswin_seg.attention import AttentionConfig, CSWinBlockParams
 from cswin_seg.carafe import (
     KernelPredictorParams,
     UpsampleConfig,
@@ -22,7 +24,7 @@ from cswin_seg.losses import LossConfig, cross_entropy_loss
 from cswin_seg.metrics import dsc, hausdorff, se_sp_acc
 from cswin_seg.network import Model, default_config, tiny_config
 from cswin_seg.optim import OptimizerConfig
-from cswin_seg.tensor import Tensor, load_tensor, save_tensor
+from cswin_seg.tensor import Tensor
 from cswin_seg.train import evaluate_model, train
 
 from oracles import (
@@ -53,6 +55,12 @@ def random_stripe_config(rng):
         return h, w, c, n, sw
 
 
+def stripe_kernel(x, params, sw):
+    """The stripe attention a block's attention half runs (``T._stripe``),
+    applied to x itself: [H,W,C] -> [H,W,C]."""
+    return T._stripe(x.data, params.wqkv.data, params.wo.data, None, sw)[0].reshape(x.shape)
+
+
 class TestCriterion1:
     def test_complexity_calibration(self):
         cfg = default_config()
@@ -78,7 +86,7 @@ class TestCriterion2:
             config = AttentionConfig(heads=n, sw=sw, channels=c)
             params = CSWinBlockParams.create(seeded(rng, "f64"), "blk", config)
             x = Tensor(rng.uniform(-1, 1, (h, w, c)), dtype="f64")
-            got = cswin_attention(x, params, config).data
+            got = stripe_kernel(x, params, sw)
             want = cross_window_attention(x.data, *per_head(params.wqkv.data, 3), params.wo.data, sw)
             worst = max(worst, float(np.abs(got - want).max()))
         report(2, "stripe-attention oracle", worst < 1e-6, f"{trials} random configs, max abs err {worst:.2e} < 1e-6")
@@ -94,7 +102,7 @@ class TestCriterion3:
             config = AttentionConfig(heads=n, sw=size, channels=c)
             params = CSWinBlockParams.create(seeded(rng, "f64"), "blk", config)
             x = Tensor(rng.uniform(-1, 1, (size, size, c)), dtype="f64")
-            got = cswin_attention(x, params, config).data
+            got = stripe_kernel(x, params, size)
             # full two-group global attention: every head attends over all
             # tokens (attention is permutation-equivariant, so the token
             # order used by each group cannot matter)
@@ -300,8 +308,10 @@ class TestCriterion9:
         rng = np.random.default_rng(25)
         ok = True
         t = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
-        save_tensor(tmp_path / "t.tsr", t)
-        ok &= (load_tensor(tmp_path / "t.tsr").data == t.data).all()
+        write_atomic(tmp_path / "t.tsr", T.tensor_record(t))
+        with open(tmp_path / "t.tsr", "rb") as f:
+            record = T.read_record(f, (tmp_path / "t.tsr").stat().st_size)
+        ok &= record.dtype == "f32" and (record.data == t.data).all()
 
         mask = rng.integers(0, 4, (16, 16)).astype(np.uint8)
         write_pgm(tmp_path / "m.pgm", mask)
@@ -319,4 +329,4 @@ class TestCriterion9:
         back = load_checkpoint(tmp_path / "m.ckpt")
         own = dict(model.named_parameters())
         ok &= all((back.params[k].data == own[k].data).all() for k in own)
-        report(9, "format round-trips", bool(ok), "TSR1, PGM, PPM and checkpoint files round-trip bitwise")
+        report(9, "format round-trips", bool(ok), "a TSR1 record, PGM, PPM and checkpoint files round-trip bitwise")

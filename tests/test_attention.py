@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_attention, cswin_block
+from cswin_seg import tensor as T
+from cswin_seg.attention import AttentionConfig, CSWinBlockParams, cswin_block
 from cswin_seg.errors import ConfigError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.initializers import seeded
@@ -27,8 +28,15 @@ def setup(rng, h, w, c, n, sw, lepe=False):
     return randx(rng, h, w, c), params, config
 
 
+def attention(x, params, config):
+    """The stripe-attention kernel a block's attention half runs, applied to
+    x itself (no norm, no residual): [H,W,C] -> [H,W,C]."""
+    lepe = None if params.lepe is None else params.lepe.data
+    return T._stripe(x.data, params.wqkv.data, params.wo.data, lepe, config.sw)[0].reshape(x.shape)
+
+
 def groups(x, params, config):
-    out = cswin_attention(x, params, config).data
+    out = attention(x, params, config)
     half = config.channels // 2
     return out[..., :half], out[..., half:]
 
@@ -67,7 +75,7 @@ class TestPartition:
             for head in range(4):
                 g, i = divmod(head, 2)
                 params.wqkv.data[g, 4 + i] = eye[:, head * 2 : head * 2 + 2]
-            out = cswin_attention(x, params, config).data
+            out = attention(x, params, config)
             np.testing.assert_array_equal(out[..., part], x.data[..., part])
 
     def test_covers_grid_disjointly(self):
@@ -92,7 +100,7 @@ class TestPartition:
         for h, w in ((6, 8), (8, 6)):
             x, params, config = setup(rng, h, w, 4, 2, 4)
             with pytest.raises(ConfigError):
-                cswin_attention(x, params, config)
+                cswin_block(x, params, config)
 
 
 class TestStripeAttention:
@@ -102,7 +110,7 @@ class TestStripeAttention:
         rng = np.random.default_rng(4)
         x, params, config = setup(rng, 1, 1, 6, 2, 1)
         _, _, wv = per_head(params.wqkv.data, 3)
-        out = cswin_attention(x, params, config).data.reshape(6)
+        out = attention(x, params, config).reshape(6)
         np.testing.assert_allclose(out, np.concatenate([x.data.reshape(6) @ wv[0], x.data.reshape(6) @ wv[1]]), atol=1e-12)
 
     def test_zero_scores_average_values(self):
@@ -199,9 +207,9 @@ class TestCSWinAttention:
     def test_degenerate_two_head_dense(self):
         rng = np.random.default_rng(12)
         x, params, config = setup(rng, 4, 4, 6, 2, 4)
-        out = cswin_attention(x, params, config)
+        out = attention(x, params, config)
         want = cross_window_attention(x.data, *per_head(params.wqkv.data, 3), np.eye(6), 4)
-        np.testing.assert_allclose(out.data, want, atol=1e-10)
+        np.testing.assert_allclose(out, want, atol=1e-10)
 
     def test_shape_contract(self):
         rng = np.random.default_rng(13)
@@ -211,16 +219,16 @@ class TestCSWinAttention:
             config = AttentionConfig(heads=n, sw=sw, channels=c)
             params = make_params(rng, config)
             x = randx(rng, h, w, c)
-            assert cswin_attention(x, params, config).shape == (h, w, c)
+            assert attention(x, params, config).shape == (h, w, c)
 
     def test_matches_oracle_stage3_geometry(self):
         rng = np.random.default_rng(14)
         config = AttentionConfig(heads=4, sw=7, channels=8)
         params = make_params(rng, config)
         x = randx(rng, 14, 14, 8)
-        out = cswin_attention(x, params, config)
+        out = attention(x, params, config)
         want = cross_window_attention(x.data, *per_head(params.wqkv.data, 3), params.wo.data, 7)
-        np.testing.assert_allclose(out.data, want, atol=1e-8)
+        np.testing.assert_allclose(out, want, atol=1e-8)
 
     def test_matches_oracle_with_lepe(self):
         rng = np.random.default_rng(21)
@@ -229,10 +237,10 @@ class TestCSWinAttention:
             params = make_params(rng, config)
             params.lepe.data[...] = rng.uniform(-1, 1, params.lepe.shape)  # asymmetric, order-one kernels
             x = randx(rng, h, w, 8)
-            out = cswin_attention(x, params, config)
+            out = attention(x, params, config)
             (lepe,) = per_head(params.lepe.data, 1)
             want = cross_window_attention(x.data, *per_head(params.wqkv.data, 3), params.wo.data, sw, lepe=lepe)
-            np.testing.assert_allclose(out.data, want, atol=1e-10, err_msg=f"{h}x{w} N={n} sw={sw}")
+            np.testing.assert_allclose(out, want, atol=1e-10, err_msg=f"{h}x{w} N={n} sw={sw}")
 
     def test_permutation_equivariance_within_stripe(self):
         # no positional term: permuting tokens inside one stripe permutes outputs

@@ -21,7 +21,7 @@ from cswin_seg.data import synth_generate, write_pgm
 from cswin_seg.errors import ConfigError, ContractError, FormatError
 from cswin_seg.network import Model, NetworkConfig, tiny_config
 from cswin_seg.optim import SGD, OptimizerConfig
-from cswin_seg.tensor import Tensor, save_tensor
+from cswin_seg.tensor import Tensor
 
 
 def micro(**overrides):
@@ -440,15 +440,15 @@ class TestCrashSafeSave:
 
     @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
     def test_failed_tensor_save_keeps_previous_file(self, tmp_path, monkeypatch, fault):
-        p = tmp_path / "t.tsr"
-        save_tensor(p, Tensor(np.arange(6.0).reshape(2, 3)))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, snapshot(Model.create(micro(), seed=1), iteration=1))
         before = p.read_bytes()
-        _inject(monkeypatch, fault, fail_at=1)
+        _inject(monkeypatch, fault, fail_at=5)  # the first TSR1 record's payload, after its header
         with pytest.raises(OSError):
-            save_tensor(p, Tensor(np.ones((4, 5), np.float32)))
+            save_checkpoint(p, snapshot(Model.create(micro(), seed=2), iteration=2))
         monkeypatch.undo()
         assert p.read_bytes() == before
-        assert sorted(os.listdir(tmp_path)) == ["t.tsr"]
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
 
     @pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
     def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch, capsys, fault):
@@ -500,11 +500,10 @@ class TestCrashSafeSave:
         old = os.umask(0o022)
         try:
             save_checkpoint(tmp_path / "m.ckpt", snapshot(Model.create(micro(), seed=1)))
-            save_tensor(tmp_path / "t.tsr", Tensor(np.ones(3)))
             write_pgm(tmp_path / "mask.pgm", np.zeros((2, 2), np.uint8))
             synth_generate(tmp_path / "d", 2, 32, 3, seed=0)
             micro().save(tmp_path / "cfg.json")
         finally:
             os.umask(old)
-        for p in ("m.ckpt", "t.tsr", "mask.pgm", "d/manifest.json", "d/images/s0000.ppm", "cfg.json"):
+        for p in ("m.ckpt", "mask.pgm", "d/manifest.json", "d/images/s0000.ppm", "cfg.json"):
             assert (tmp_path / p).stat().st_mode & 0o777 == 0o644, p

@@ -1,11 +1,15 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cswin_seg
 from cswin_seg.cli import build_parser, main
 from cswin_seg.data import read_pgm, read_ppm, write_pgm, write_ppm
 from cswin_seg.network import NetworkConfig
@@ -134,6 +138,20 @@ class TestCount:
 
     def test_invalid_config_path(self, capsys):
         assert main(["count", "--config", "/does/not/exist.json"]) == 1
+
+    def test_closed_stdout_is_not_an_error(self):
+        # stdout is a pipe whose reader is gone before the command starts, as
+        # after `cswin-seg count | head -1` once head has exited
+        src = str(Path(cswin_seg.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cswin_seg", "count"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141  # 128 + SIGPIPE, as a shell reports for the writer
 
 
 class TestGradcheckCli:

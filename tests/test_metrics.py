@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,30 @@ class TestHausdorff:
             got = hausdorff(a, b, 1)
             want = hausdorff_bruteforce(a.astype(bool), b.astype(bool))
             assert got == want
+
+    def test_matches_bruteforce_on_empty_and_one_sided_masks(self):
+        # the class missing from one or both masks, and boundaries of about
+        # 600 points each, whose pairs fill more than one chunk
+        rng = np.random.default_rng(3)
+        for p_a, p_b in ((0.0, 0.0), (0.0, 0.4), (0.4, 0.0), (0.5, 0.02), (0.02, 0.5), (0.5, 0.5)):
+            a = random_mask(rng, (32, 40), p_a)
+            b = random_mask(rng, (32, 40), p_b)
+            assert hausdorff(a, b, 1) == hausdorff_bruteforce(a.astype(bool), b.astype(bool))
+
+    def test_memory_bounded_for_large_boundaries(self):
+        # a noisy 224 px prediction (23,506 boundary pixels) against a disk
+        # (336): each chunk pairs at most 2**18 points in either direction
+        rng = np.random.default_rng(4)
+        pred = random_mask(rng, (224, 224), p=0.5)
+        yy, xx = np.mgrid[:224, :224]
+        true = ((yy - 112) ** 2 + (xx - 112) ** 2 <= 60**2).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            hausdorff(pred, true, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_hd95_never_exceeds_hd(self):
         rng = np.random.default_rng(2)

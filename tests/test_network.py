@@ -604,7 +604,7 @@ class TestCounting:
         cfg = micro_config(depths=(0, 0, 0, 0))
         parts = complexity.params_breakdown(cfg)
         assert parts["encoder_blocks"] == 0 and parts["decoder_blocks"] == 0
-        assert complexity.count_params(cfg) == Model.create(cfg).num_parameters()
+        assert complexity.count_params(cfg) == sum(t.size for t in Model.create(cfg).parameters())
 
     def test_default_calibration(self):
         ok, p_ratio, f_ratio = complexity.within_reference(default_config())

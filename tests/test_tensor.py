@@ -17,10 +17,13 @@ from oracles import (
     depthwise_conv2d_naive,
     gelu_naive,
     im2col_taps,
+    layer_norm,
     layer_norm_naive,
+    mlp,
     reachable_arrays,
     softmax,
     softmax_naive,
+    stripe_attention,
     stripe_attention_composition,
     upsample_bilinear_naive,
 )
@@ -100,24 +103,25 @@ class TestSoftmax:
 
 
 class TestLayerNorm:
+    # the kernel behind both half-blocks' norms
     def test_constant_input_gives_zeros(self):
-        x = Tensor(np.full((2, 8), 3.7), dtype="f32")
-        out = T.layer_norm(x, Tensor.ones((8,)), Tensor.zeros((8,)))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-4)
+        x = np.full((2, 8), 3.7, dtype=np.float32)
+        out, _, _ = T._layer_norm(x, np.ones(8, np.float32), np.zeros(8, np.float32), 1e-5)
+        np.testing.assert_allclose(out, 0.0, atol=1e-4)
 
     def test_zero_gamma_gives_beta(self):
         rng = np.random.default_rng(6)
-        x = randt(rng, (4, 8))
-        beta = Tensor(rng.uniform(-1, 1, (8,)), dtype="f64")
-        out = T.layer_norm(x, Tensor.zeros((8,), dtype="f64"), beta)
-        np.testing.assert_allclose(out.data, np.broadcast_to(beta.data, (4, 8)))
+        x = rng.uniform(-1, 1, (4, 8))
+        beta = rng.uniform(-1, 1, (8,))
+        out, _, _ = T._layer_norm(x, np.zeros(8), beta, 1e-5)
+        np.testing.assert_allclose(out, np.broadcast_to(beta, (4, 8)))
 
     def test_normalizes_each_slice(self):
         rng = np.random.default_rng(7)
-        x = randt(rng, (2, 3, 8))
-        out = T.layer_norm(x, Tensor.ones((8,), dtype="f64"), Tensor.zeros((8,), dtype="f64"))
-        assert np.abs(out.data.mean(axis=-1)).max() < 1e-6
-        assert np.abs(out.data.var(axis=-1) - 1.0).max() < 1e-4
+        x = rng.uniform(-1, 1, (2, 3, 8))
+        out, _, _ = T._layer_norm(x, np.ones(8), np.zeros(8), 1e-5)
+        assert np.abs(out.mean(axis=-1)).max() < 1e-6
+        assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
     def test_gradient(self):
         rng = np.random.default_rng(8)
@@ -126,7 +130,7 @@ class TestLayerNorm:
         beta = Tensor(rng.uniform(-1, 1, (6,)), dtype="f64")
         w = Tensor(rng.uniform(-1, 1, (3, 6)), dtype="f64")
         check_gradients(
-            lambda: T.tsum(T.layer_norm(x, gamma, beta) * w),
+            lambda: T.tsum(layer_norm(x, gamma, beta) * w),
             [("x", x), ("gamma", gamma), ("beta", beta)],
         )
 
@@ -187,11 +191,11 @@ def _entry_and_gradients(fn, inputs, g):
 
 
 class TestInPlaceElementwise:
-    """softmax and layer_norm compute in place, and so do the gelu inside mlp
-    and the attention inside stripe_attention; they must stay bitwise equal
-    to the plain expressions and write into nothing they were given: not the
-    inputs, not the kept output, not the upstream gradient g (passed here as
-    a strided view into a larger array, as a shared gradient may be)."""
+    """softmax and the layer-norm, MLP (gelu) and stripe-attention kernels
+    compute in place; they must stay bitwise equal to the plain expressions
+    and write into nothing they were given: not the inputs, not the kept
+    output, not the upstream gradient g (passed here as a strided view into
+    a larger array, as a shared gradient may be)."""
 
     @staticmethod
     def _inputs(dtype, shape, seed):
@@ -210,34 +214,38 @@ class TestInPlaceElementwise:
         # identity weights and zero biases make mlp(x) = gelu(x) and its x
         # gradient g * gelu'(x), both exactly: every product is by 1 or 0
         _, x, g = self._inputs(dtype, (5, 9, 37), 30)
-        eye, zero = Tensor(np.eye(37), dtype=dtype, requires_grad=True), Tensor(np.zeros(37), dtype=dtype, requires_grad=True)
+        eye, zero = np.eye(37, dtype=x.data.dtype), np.zeros(37, dtype=x.data.dtype)
         x0, g0 = x.data.copy(), g.copy()
-        y, (dx, *_) = _entry_and_gradients(T.mlp, (x, eye, zero, eye, zero), g)
+        x2 = x.data.reshape(-1, 37)
+        y, h = T._mlp(x2, eye, zero, eye, zero)
         y0 = y.copy()
+        dx = T._mlp_backward(x2, h, eye, eye, g.reshape(-1, 37))[0]
         want_y, dydx = gelu_naive(x0)
-        self._assert_bitwise(y, want_y)
-        self._assert_bitwise(dx, g0 * dydx)
-        for got, before in ((x.data, x0), (g, g0), (y, y0), (eye.data, np.eye(37, dtype=x0.dtype)), (zero.data, np.zeros_like(x0[0, 0]))):
+        self._assert_bitwise(y.reshape(x0.shape), want_y)
+        self._assert_bitwise(dx.reshape(x0.shape), g0 * dydx)
+        for got, before in ((x.data, x0), (g, g0), (y, y0), (eye, np.eye(37, dtype=x0.dtype)), (zero, np.zeros_like(x0[0, 0]))):
             self._assert_bitwise(got, before)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_mlp(self, dtype):
         rng, x, g = self._inputs(dtype, (3, 7, 6), 33)
-        given = [x] + [randt(rng, shape, dtype, True) for shape in ((6, 10), (10,), (10, 5), (5,))]
+        given = [x.data] + [randt(rng, shape, dtype).data for shape in ((6, 10), (10,), (10, 5), (5,))]
         g = g[..., :5]
-        before, g0 = [t.data.copy() for t in given], g.copy()
-        y, grads = _entry_and_gradients(T.mlp, given, g)
+        before, g0 = [a.copy() for a in given], g.copy()
+        rows = given[0].reshape(-1, 6)
+        y, h = T._mlp(rows, *given[1:])
+        grads = T._mlp_backward(rows, h, given[1], given[3], g.reshape(-1, 5))
         x0, w1, b1, w2, b2 = before
         x2, g2 = x0.reshape(-1, 6), g0.reshape(-1, 5)
         a, dadh = gelu_naive(x2 @ w1 + b1)
         dh = (g2 @ w2.T) * dadh
         tol = 1e-5 if dtype == "f32" else 1e-12
-        want = ((a @ w2 + b2).reshape(3, 7, 5), (dh @ w1.T).reshape(x.shape), x2.T @ dh, dh.sum(axis=0), a.T @ g2, g2.sum(axis=0))
+        want = (a @ w2 + b2, dh @ w1.T, x2.T @ dh, dh.sum(axis=0), a.T @ g2, g2.sum(axis=0))
         for got, ref in zip((y, *grads), want):
             assert got.dtype == x.data.dtype and got.shape == ref.shape
             np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
-        for t, ref in zip(given, before):
-            self._assert_bitwise(t.data, ref)
+        for a, ref in zip(given, before):
+            self._assert_bitwise(a, ref)
         self._assert_bitwise(g, g0)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -247,15 +255,17 @@ class TestInPlaceElementwise:
         # the output and every gradient equal the composition's bitwise,
         # computed from copies taken before the primitive ran
         rng, x, g = self._inputs(dtype, (4, 6, 8), 34)
-        given = [x, randt(rng, (2, 6, 8, 2), dtype, True), randt(rng, (8, 8), dtype, True)]
-        given += [randt(rng, (2, 2, 3, 3, 2), dtype, True)] if lepe_on else []
-        before, g0 = [t.data.copy() for t in given], g.copy()
-        y, grads = _entry_and_gradients(lambda x, wqkv, wo, *lepe: T.stripe_attention(x, wqkv, wo, *(lepe or [None]), sw), given, g)
-        want = stripe_attention_composition(*before[:3], before[3] if lepe_on else None, sw, g0)
-        for got, ref in zip((y, *grads), want):
+        given = [x.data, randt(rng, (2, 6, 8, 2), dtype).data, randt(rng, (8, 8), dtype).data]
+        given += [randt(rng, (2, 2, 3, 3, 2), dtype).data if lepe_on else None]
+        before, g0 = [None if a is None else a.copy() for a in given], g.copy()
+        y, kept = T._stripe(*given, sw)
+        grads = T._stripe_backward(*given, sw, kept, g)
+        want = stripe_attention_composition(*before, sw, g0)
+        for got, ref in zip((y.reshape(x.shape), *grads), want):
             self._assert_bitwise(got, ref)
-        for t, ref in zip(given, before):
-            self._assert_bitwise(t.data, ref)
+        for a, ref in zip(given, before):
+            if a is not None:
+                self._assert_bitwise(a, ref)
         self._assert_bitwise(g, g0)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -274,12 +284,13 @@ class TestInPlaceElementwise:
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_layer_norm(self, dtype):
         rng, x, g = self._inputs(dtype, (4, 13, 37), 32)
-        gamma = Tensor(rng.uniform(0.5, 1.5, (37,)), dtype=dtype, requires_grad=True)
-        beta = Tensor(rng.uniform(-1, 1, (37,)), dtype=dtype, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, (37,)), dtype=dtype).data
+        beta = Tensor(rng.uniform(-1, 1, (37,)), dtype=dtype).data
         x0, g0 = x.data.copy(), g.copy()
-        y, (dx, dgamma, dbeta) = _entry_and_gradients(T.layer_norm, (x, gamma, beta), g)
+        y, mean, inv = T._layer_norm(x.data, gamma, beta, 1e-5)
         y0 = y.copy()
-        want = layer_norm_naive(x0, gamma.data, beta.data, g0)
+        dx, dgamma, dbeta = T._layer_norm_backward(T._xhat(x.data, mean, inv), gamma, inv, g)
+        want = layer_norm_naive(x0, gamma, beta, g0)
         for got, w in zip((y, dx, dgamma, dbeta), want):
             self._assert_bitwise(got, w)
         for got, before in ((x.data, x0), (g, g0), (y, y0)):
@@ -365,7 +376,7 @@ def _stripe_inputs(rng, h, w, c, n, lepe_on, dtype="f64"):
 
 
 class TestAttention:
-    # the kernels behind stripe_attention, and its tape entry
+    # the kernels behind the attention half-block, and its tape entry
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(12)
         for shape in [(3, 2, 5, 4), (3, 1, 7, 3)]:
@@ -387,25 +398,29 @@ class TestAttention:
         np.testing.assert_allclose(analytic.reshape(-1), numeric, rtol=1e-6, atol=1e-9)
 
     def test_keeps_only_probabilities_and_gives_one_gradient(self):
-        # one entry that keeps each group's q|k|v and probabilities and the
-        # merged heads: no transposed map, attention outputs or LePE gathers
+        # one entry that keeps the norm's mean and 1/std per row, each group's
+        # q|k|v and probabilities and the merged heads: no normalized or
+        # transposed map, attention outputs or LePE gathers
         h, w, c, n, sw = 4, 6, 8, 2, 2
         d = c // (2 * n)
         qkv, probs = 3 * h * w * n * d, [(h // sw) * n * (sw * w) ** 2, (w // sw) * n * (sw * h) ** 2]
         for lepe_on in (False, True):
-            x, wqkv, wo, lepe = _stripe_inputs(np.random.default_rng(14), h, w, c, n, lepe_on)
+            rng = np.random.default_rng(14)
+            x, wqkv, wo, lepe = _stripe_inputs(rng, h, w, c, n, lepe_on)
+            gamma, beta = randt(rng, (c,), requires_grad=True), randt(rng, (c,), requires_grad=True)
             with Tape() as tape:
-                y = T.stripe_attention(x, wqkv, wo, lepe, sw)
+                y = T.residual_stripe_attention(x, gamma, beta, wqkv, wo, lepe, sw)
             (inputs, out, grad_fn, op), = tape.entries
             assert op == "stripe_attention" and out is y and y.shape == (h, w, c)
-            assert inputs == ((x, wqkv, wo) if lepe is None else (x, wqkv, wo, lepe))
-            assert _kept_sizes(grad_fn, inputs) == sorted([qkv, qkv, h * w * c] + probs)
+            assert inputs == ((x, gamma, beta, wqkv, wo) if lepe is None else (x, gamma, beta, wqkv, wo, lepe))
+            assert _kept_sizes(grad_fn, inputs) == sorted([qkv, qkv, h * w * c, h * w, h * w] + probs)
             grads = grad_fn(np.ones(y.shape))
             assert [gi.shape for gi in grads] == [t.shape for t in inputs]
 
     def test_rejects_unstacked_input(self):
         rng = np.random.default_rng(15)
         x, wqkv, wo, lepe = _stripe_inputs(rng, 4, 4, 8, 2, True)
+        gamma, beta = Tensor.ones((8,), "f64"), Tensor.zeros((8,), "f64")
         bad = [
             (Tensor.zeros((4, 8)), wqkv, wo, None, 2),
             (x, Tensor.zeros((3, 6, 8, 2)), wo, None, 2),
@@ -415,21 +430,23 @@ class TestAttention:
             (x, wqkv, wo, Tensor.zeros((2, 2, 3, 3, 1)), 2),
             (x, wqkv, wo, None, 3),
         ]
-        for args in bad:
-            with pytest.raises(DimensionError, match="stripe_attention"):
-                T.stripe_attention(*args)
+        for bx, bwqkv, bwo, blepe, bsw in bad:
+            with pytest.raises(DimensionError, match="residual_stripe_attention"):
+                T.residual_stripe_attention(bx, gamma, beta, bwqkv, bwo, blepe, bsw)
 
 
 def _lepe_term(x, wqkv, lepe, sw):
-    """What the LePE kernels add to stripe attention with wo = I: the merged
-    [H, W, C] depthwise convolutions of each head's values in its stripes."""
-    eye = Tensor(np.eye(x.shape[2]), dtype=x.dtype)
-    return T.stripe_attention(x, wqkv, eye, lepe, sw).data - T.stripe_attention(x, wqkv, eye, None, sw).data
+    """What the LePE kernels add to the stripe-attention kernel with wo = I:
+    the merged [H, W, C] depthwise convolutions of each head's values in its
+    stripes."""
+    eye = np.eye(x.shape[2], dtype=x.data.dtype)
+    attend = lambda ld: T._stripe(x.data, wqkv.data, eye, ld, sw)[0].reshape(x.shape)
+    return attend(lepe.data) - attend(None)
 
 
 class TestDepthwiseConv2d:
     # the LePE term: a k x k depthwise convolution of v inside each stripe,
-    # zero outside it, through stripe_attention
+    # zero outside it, through the stripe-attention kernels
     def test_center_delta_is_identity(self):
         rng = np.random.default_rng(12)
         x, wqkv, _, lepe = _stripe_inputs(rng, 4, 6, 8, 2, True)
@@ -482,21 +499,9 @@ class TestDepthwiseConv2d:
             x, wqkv, wo, lepe = _stripe_inputs(rng, 4, 6, 8, 2, True)
             w = Tensor(rng.uniform(-1, 1, (4, 6, 8)))
             check_gradients(
-                lambda: T.tsum(T.stripe_attention(x, wqkv, wo, lepe, sw) * w),
+                lambda: T.tsum(stripe_attention(x, wqkv, wo, lepe, sw) * w),
                 [("x", x), ("wqkv", wqkv), ("wo", wo), ("lepe", lepe)],
             )
-
-    def test_one_entry_with_the_composition_gradients(self):
-        # one tape entry; its output and gradients equal the composition's bitwise
-        rng = np.random.default_rng(16)
-        for dtype in ("f32", "f64"):
-            for sw in (1, 2):
-                given = _stripe_inputs(rng, 4, 6, 8, 2, True, dtype)
-                g = rng.uniform(-1, 1, (4, 6, 8)).astype(given[0].data.dtype)
-                y, grads = _entry_and_gradients(lambda x, wqkv, wo, lepe: T.stripe_attention(x, wqkv, wo, lepe, sw), given, g)
-                want = stripe_attention_composition(*(t.data for t in given), sw, g)
-                for got, ref in zip((y, *grads), want):
-                    np.testing.assert_array_equal(got, ref)
 
 
 class TestPatches:
@@ -522,23 +527,18 @@ class TestPatches:
 
 
 class TestKeptArrays:
-    # what layer_norm and mlp entries keep beyond their inputs
-    def test_layer_norm_keeps_input_mean_and_inverse_std(self):
-        rng = np.random.default_rng(19)
-        x, gamma, beta = randt(rng, (4, 5, 6), "f32", True), randt(rng, (6,), "f32", True), randt(rng, (6,), "f32", True)
-        with Tape() as tape:
-            T.layer_norm(x, gamma, beta)
-        (inputs, _, grad_fn, _), = tape.entries
-        assert _kept_sizes(grad_fn, inputs) == [20, 20]  # one mean and one 1/std per row, no x-hat
-
+    # what entries keep beyond their inputs
     def test_mlp_keeps_only_the_pre_activation(self):
+        # the MLP half-block: one mean and one 1/std per row (no x-hat) and
+        # the pre-activation h (not gelu(h))
         rng = np.random.default_rng(20)
-        given = [randt(rng, shape, "f32", True) for shape in ((4, 5, 6), (6, 10), (10,), (10, 3), (3,))]
+        shapes = ((4, 5, 6), (6,), (6,), (6, 10), (10,), (10, 6), (6,))
+        given = [randt(rng, shape, "f32", True) for shape in shapes]
         with Tape() as tape:
-            y = T.mlp(*given)
+            y = T.residual_mlp(*given)
         (inputs, out, grad_fn, op), = tape.entries
-        assert op == "mlp" and out is y and y.shape == (4, 5, 3)
-        assert _kept_sizes(grad_fn, inputs) == [20 * 10]  # h, not gelu(h)
+        assert op == "mlp" and out is y and y.shape == (4, 5, 6)
+        assert _kept_sizes(grad_fn, inputs) == [20, 20, 20 * 10]
 
 
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
@@ -558,10 +558,10 @@ def _half_block(kind, rng, dtype, lepe_on=False, sw=2):
     ln = [randt(rng, (8,), dtype, True), randt(rng, (8,), dtype, True)]
     if kind == "mlp":
         weights = [randt(rng, shape, dtype, True) for shape in ((8, 12), (12,), (12, 8), (8,))]
-        return T.residual_mlp, T.mlp, weights, ln
+        return T.residual_mlp, mlp, weights, ln
     _, wqkv, wo, lepe = _stripe_inputs(rng, 4, 6, 8, 2, lepe_on, dtype)
     fused = lambda x, gamma, beta, wqkv, wo, *lepe: T.residual_stripe_attention(x, gamma, beta, wqkv, wo, *(lepe or [None]), sw)
-    composed = lambda y, wqkv, wo, *lepe: T.stripe_attention(y, wqkv, wo, *(lepe or [None]), sw)
+    composed = lambda y, wqkv, wo, *lepe: stripe_attention(y, wqkv, wo, *(lepe or [None]), sw)
     return fused, composed, [wqkv, wo] + ([lepe] if lepe_on else []), ln
 
 
@@ -570,8 +570,9 @@ _HALF_BLOCKS = [("mlp", False, 2)] + [("attention", lepe_on, sw) for lepe_on in 
 
 class TestResidualHalfBlocks:
     """x + f(layer_norm(x)) as one entry, for f the MLP or stripe attention:
-    bitwise equal to the three entries it replaces, keeping neither
-    layer_norm(x) nor f's output."""
+    bitwise equal to the three stand-alone entries of the same kernels
+    (``oracles.layer_norm``, f, add), keeping neither layer_norm(x) nor f's
+    output."""
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("kind, lepe_on, sw", _HALF_BLOCKS)
@@ -584,7 +585,7 @@ class TestResidualHalfBlocks:
         # the composition on its own tape, its gradients from backward
         leaves = [Tensor(a.copy(), requires_grad=True) for a in before]
         with Tape() as tape:
-            out = T.add(leaves[0], composed(T.layer_norm(*leaves[:3]), *leaves[3:]))
+            out = T.add(leaves[0], composed(layer_norm(*leaves[:3]), *leaves[3:]))
             loss = T.tsum(T.mul(out, Tensor(g0.copy())))
         backward(loss, tape)
         want = [out.data] + [t.grad for t in leaves]
@@ -644,8 +645,8 @@ class TestStructural:
         assert np.shares_memory(T.reshape(x, (2, 6)).data, x.data)
 
     def test_gelu_zero(self):
-        eye, zero = Tensor(np.eye(2)), Tensor(np.zeros(2))
-        assert (T.mlp(Tensor([[0.0, 0.0]]), eye, zero, eye, zero).data == 0.0).all()
+        eye, zero = np.eye(2), np.zeros(2)
+        assert (T._mlp(np.zeros((1, 2)), eye, zero, eye, zero)[0] == 0.0).all()
 
     def test_gelu_gradient(self):
         # an mlp whose gelu sees pre-activations across [-4, 4]
@@ -654,7 +655,7 @@ class TestStructural:
         w1, b1 = Tensor(rng.uniform(-2, 2, (3, 5))), randt(rng, (5,))
         w2, b2 = randt(rng, (5, 2)), randt(rng, (2,))
         named = [("x", x), ("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)]
-        check_gradients(lambda: T.tsum(T.mlp(x, w1, b1, w2, b2)), named)
+        check_gradients(lambda: T.tsum(mlp(x, w1, b1, w2, b2)), named)
 
     def test_permute_gradient(self):
         rng = np.random.default_rng(17)
@@ -812,13 +813,11 @@ class TestDeterminism:
 
 
 class TestTSR1:
-    def test_roundtrip_bitwise(self, tmp_path):
+    def test_roundtrip_bitwise(self):
         rng = np.random.default_rng(21)
         for dtype in ("f32", "f64"):
             t = Tensor(rng.standard_normal((3, 4, 5)), dtype=dtype)
-            p = tmp_path / f"t_{dtype}.tsr"
-            T.save_tensor(p, t)
-            back = T.load_tensor(p)
+            back = read_bytes(b"".join(T.tensor_record(t)))
             assert back.dtype == dtype
             assert back.shape == t.shape
             assert (back.data == t.data).all()
@@ -829,21 +828,14 @@ class TestTSR1:
         assert back.shape == ()
         assert back.item() == 3.5
 
-    def test_bad_magic(self, tmp_path):
-        buf = b"JUNK0000" + b"\x00" * 16
-        with pytest.raises(FormatError):
-            read_bytes(buf)
-        (tmp_path / "junk.tsr").write_bytes(buf)
+    def test_bad_magic(self):
         with pytest.raises(FormatError, match="bad magic"):
-            T.load_tensor(tmp_path / "junk.tsr")
+            read_bytes(b"JUNK0000" + b"\x00" * 16)
 
-    def test_truncation(self, tmp_path):
+    def test_truncation(self):
         buf = b"".join(T.tensor_record(Tensor(np.ones((4, 4)))))
-        with pytest.raises(FormatError):
-            read_bytes(buf[:-3])
-        (tmp_path / "cut.tsr").write_bytes(buf[:-3])
         with pytest.raises(FormatError, match="truncated"):
-            T.load_tensor(tmp_path / "cut.tsr")
+            read_bytes(buf[:-3])
         # the stream ends before the size the caller vouched for
         with pytest.raises(FormatError, match="truncated in payload"):
             T.read_record(io.BytesIO(buf[:-3]), len(buf))
