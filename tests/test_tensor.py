@@ -528,6 +528,16 @@ class TestPatches:
 
 class TestKeptArrays:
     # what entries keep beyond their inputs
+    def test_layer_norm_keeps_input_mean_and_inverse_std(self):
+        # the layer-norm kernel as a stand-alone entry: its statistics are
+        # one mean and one 1/std per row, and backward rebuilds x-hat
+        rng = np.random.default_rng(19)
+        x, gamma, beta = randt(rng, (4, 5, 6), "f32", True), randt(rng, (6,), "f32", True), randt(rng, (6,), "f32", True)
+        with Tape() as tape:
+            layer_norm(x, gamma, beta)
+        (inputs, _, grad_fn, _), = tape.entries
+        assert _kept_sizes(grad_fn, inputs) == [20, 20]  # no x-hat
+
     def test_mlp_keeps_only_the_pre_activation(self):
         # the MLP half-block: one mean and one 1/std per row (no x-hat) and
         # the pre-activation h (not gelu(h))
