@@ -10,9 +10,12 @@ across image sizes.  ``train.combined_loss`` weighs them into the training
 objective.
 
 Each loss is one tape entry: it computes one max-shifted softmax p and
-has a closed-form gradient in the logits' dtype.  For one image of N = H*W
-pixels, targets t (one-hot of the labels), I_k = sum_n p_nk t_nk and
-D_k = sum_n (p_nk + t_nk):
+has a closed-form gradient in the logits' dtype.  The softmax's row max
+and normalizer, Dice's per-image class sums and its gradient's dot over
+classes come from ``tensor``'s reductions (``_rowmax``, ``_rowsum``,
+``_colsum``), which run over all pixels at once instead of one K-long row
+at a time.  For one image of N = H*W pixels, targets t (one-hot of the
+labels), I_k = sum_n p_nk t_nk and D_k = sum_n (p_nk + t_nk):
   * cross-entropy: dL/dx = (p - t) / N;
   * Dice (Milletari et al., "V-Net", 2016):
     dL/dp_k = -(1/K) * [2 t_k / (D_k + s) - (2 I_k + s) / (D_k + s)^2],
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .tensor import Tensor, _emit
+from .tensor import Tensor, _colsum, _emit, _rowmax, _rowsum
 
 
 @dataclass
@@ -59,9 +62,9 @@ def _softmax_rows(logits: Tensor, labels: np.ndarray) -> tuple[np.ndarray, np.nd
     if idx.min() < 0 or idx.max() >= k:
         raise DataError(f"labels outside [0, {k}): {idx.min()}..{idx.max()}")
     z = logits.data.reshape(-1, k)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - _rowmax(z)
     p = np.exp(z)
-    total = p.sum(axis=1, keepdims=True)
+    total = _rowsum(p)
     p /= total
     return idx, z, total, p
 
@@ -76,16 +79,16 @@ def dice_loss(logits: Tensor, labels: np.ndarray, smooth: float = 1e-5) -> Tenso
     flat = np.arange(rows)
     slot = flat // n * k + idx  # the (image, class) bin of each pixel
     inter = np.bincount(slot, weights=p[flat, idx], minlength=nb * k).astype(p.dtype).reshape(nb, k)
-    denom = p.reshape(nb, n, k).sum(axis=1) + np.bincount(slot, minlength=nb * k).astype(p.dtype).reshape(nb, k) + smooth
+    denom = _colsum(p.reshape(nb, n, k)) + np.bincount(slot, minlength=nb * k).astype(p.dtype).reshape(nb, k) + smooth
     score = (2.0 * inter + smooth) / denom
 
     def grad_fn(g):
         dp = np.repeat(score / denom, n, axis=0)  # K * dL/dp: (2I+s)/(D+s)^2, less 2/(D+s) at the label
         dp[flat, idx] -= 2.0 / denom.reshape(-1)[slot]
         dp *= g / (k * nb)
-        return ((p * (dp - (p * dp).sum(axis=1, keepdims=True))).reshape(logits.shape),)
+        return ((p * (dp - _rowsum(p * dp))).reshape(logits.shape),)
 
-    loss = (1.0 - score.sum(axis=1) / k).sum() / nb
+    loss = (1.0 - _rowsum(score)[:, 0] / k).sum() / nb
     return _emit("dice_loss", (logits,), np.asarray(loss, dtype=p.dtype), grad_fn)
 
 

@@ -56,7 +56,19 @@ Design notes:
     results and a few scratch arrays and write only into those, never into
     the upstream gradient (it may be a view shared with another op's
     gradient).  They keep the order of operations of the plain expressions,
-    or of the composition they replaced, so they are bitwise equal to them.
+    or of the composition they replaced, with the row maxima and sums taken
+    by the reduction helpers below, so they are bitwise equal to them.
+  * Reductions.  numpy reduces a short last axis one row at a time, and the
+    model normalizes many short rows: attention over 16-98 keys, CARAFE over
+    k_up^2 = 25 slots, layer norm over C channels, the losses over K
+    classes.  Every such max, sum and mean goes through three helpers that
+    run over all rows at once: ``_rowmax`` folds np.maximum over column
+    slices (exactly numpy's max, NaN kept), ``_rowsum`` is one GEMV against
+    a vector of ones (a mean divides it in place) and ``_colsum`` (bias and
+    affine gradients) a vector of ones times the matrix.  The sums are
+    reordered, so they equal numpy's up to rounding, not bitwise.  Each sum
+    makes its operand C-contiguous first, so its bits depend only on the
+    values and runs stay bitwise reproducible.
   * Freed memory stays in the process.  glibc returns blocks above its mmap
     threshold to the kernel when they are freed and trims the top of the heap,
     so each taped step would fault its activations in again, page by page.
@@ -336,6 +348,42 @@ def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
 
 # -- reductions ----------------------------------------------------------------
 
+_FOLD_COLUMNS = 16  # rows this short take their max one column at a time
+
+
+def _rowmax(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` for rows of n >= 1 entries, bit for
+    bit, by folding np.maximum over column slices: each call runs over
+    every row at once.  A row longer than 16 columns is first halved, its
+    two halves folded into one (an odd last column folds into the first).
+    np.maximum, unlike np.fmax, keeps a NaN."""
+    m = x
+    while m.shape[-1] > _FOLD_COLUMNS:
+        h = m.shape[-1] // 2
+        half = np.maximum(m[..., :h], m[..., h : 2 * h])
+        if m.shape[-1] % 2:
+            np.maximum(half[..., :1], m[..., -1:], out=half[..., :1])
+        m = half
+    out = m[..., :1].copy() if m.shape[-1] == 1 else np.maximum(m[..., :1], m[..., 1:2])
+    for j in range(2, m.shape[-1]):
+        np.maximum(out, m[..., j : j + 1], out=out)
+    return out
+
+
+def _rowsum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` up to rounding, as one GEMV against
+    a vector of ones.  x is made C-contiguous first, so the result depends
+    only on its values, not on its memory layout."""
+    n = x.shape[-1]
+    rows = np.ascontiguousarray(x).reshape(-1, n) @ np.ones(n, dtype=x.dtype)
+    return rows.reshape(*x.shape[:-1], 1)
+
+
+def _colsum(x2: np.ndarray) -> np.ndarray:
+    """``x2.sum(axis=-2)`` of [..., N, C] up to rounding, as a vector of N
+    ones times x2 made C-contiguous."""
+    return np.ones(x2.shape[-2], dtype=x2.dtype) @ np.ascontiguousarray(x2)
+
 
 def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
     """Sum over one axis, or over everything when axis is None."""
@@ -451,7 +499,7 @@ def _mlp_backward(x2: np.ndarray, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     dh += t  # 0.5*(1 + t) + (0.5*h)*(1 - t*t)*du
     dh *= ga
     del t, s, ga
-    return np.matmul(dh, w1.T), x2.T @ dh, dh.sum(axis=0), gw2, g2.sum(axis=0)
+    return np.matmul(dh, w1.T), x2.T @ dh, _colsum(dh), gw2, _colsum(g2)
 
 
 # -- normalization and attention scalars ---------------------------------------
@@ -464,9 +512,9 @@ def _attend(qkv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, k, v = qkv
     p = np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
     p *= qkv.dtype.type(1.0 / np.sqrt(qkv.shape[3]))
-    p -= p.max(axis=-1, keepdims=True)  # softmax over keys, max-shifted
+    p -= _rowmax(p)  # softmax over keys, max-shifted
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _rowsum(p)
     return np.matmul(p, v), p
 
 
@@ -476,7 +524,7 @@ def _attend_backward(qkv: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarra
     q, k, v = qkv
     gqkv = np.empty_like(qkv)
     gs = np.matmul(g, np.swapaxes(v, -1, -2))
-    gs -= (gs * p).sum(axis=-1, keepdims=True)
+    gs -= _rowsum(gs * p)
     gs *= p
     gs *= qkv.dtype.type(1.0 / np.sqrt(qkv.shape[3]))
     np.matmul(gs, k, out=gqkv[0])
@@ -497,10 +545,14 @@ def _check_layer_norm(opname: str, x: Tensor, gamma: Tensor, beta: Tensor) -> No
 def _layer_norm(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """gamma * x-hat + beta over the last axis, and the per-row mean and
     1/std ([..., 1] arrays) that ``_xhat`` rebuilds x-hat from."""
-    mean = xd.mean(axis=-1, keepdims=True)
+    c = xd.shape[-1]
+    mean = _rowsum(xd)
+    mean /= c
     xhat = np.subtract(xd, mean)
     out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    var = _rowsum(out)
+    var /= c
+    inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     np.multiply(gamma, xhat, out=out)
     out += beta
@@ -518,12 +570,16 @@ def _layer_norm_backward(xhat: np.ndarray, gamma: np.ndarray, inv: np.ndarray, g
     """The gradients (x, gamma, beta) of ``_layer_norm`` for the output gradient g."""
     c = xhat.shape[-1]
     s = np.multiply(g, xhat)
-    dgamma = s.reshape(-1, c).sum(axis=0)
-    dbeta = g.reshape(-1, c).sum(axis=0)
+    dgamma = _colsum(s.reshape(-1, c))
+    dbeta = _colsum(g.reshape(-1, c))
     dx = np.multiply(g, gamma)  # dxhat
     np.multiply(dx, xhat, out=s)
-    np.multiply(xhat, s.mean(axis=-1, keepdims=True), out=s)
-    dx -= dx.mean(axis=-1, keepdims=True)
+    mean = _rowsum(s)
+    mean /= c
+    np.multiply(xhat, mean, out=s)
+    mean = _rowsum(dx)
+    mean /= c
+    dx -= mean
     dx -= s
     dx *= inv  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     return dx, dgamma, dbeta
@@ -608,7 +664,7 @@ def _conv(opname: str, x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int
         gw = (cols.T @ g2).reshape(w.shape)
         del cols
         gx = scatter(np.matmul(g2, w2.T).reshape(*lead, ho, wo, kh * kw, cin)) if x.requires_grad else None
-        return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
+        return (gx, gw) if bias is None else (gx, gw, _colsum(g2))
 
     return inputs, out, (*lead, ho, wo, cout), grad_fn
 
@@ -640,13 +696,13 @@ def conv2d_softmax(x: Tensor, w: Tensor, bias: Tensor, slots: int, padding: int 
     if slots < 1 or cout % slots:
         raise DimensionError(f"conv2d_softmax: {cout} channels do not split into groups of {slots}")
     y = y.reshape(*shape[:-1], cout // slots, slots)
-    y -= y.max(axis=-1, keepdims=True)  # max-shifted
+    y -= _rowmax(y)  # max-shifted
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= _rowsum(y)
 
     def grad_fn(g):
         gx = np.multiply(g, y)
-        dot = gx.sum(axis=-1, keepdims=True)
+        dot = _rowsum(gx)
         np.subtract(g, dot, out=gx)
         gx *= y  # y * (g - sum(g * y))
         return conv_grad(gx)
@@ -701,7 +757,7 @@ def reassemble(x: Tensor, field: Tensor, bias: Optional[Tensor] = None) -> Tenso
         gf = np.matmul(gprod, np.swapaxes(cols, -1, -2)) if field.requires_grad else None
         del cols
         gx = scatter(np.matmul(np.swapaxes(field.data, -1, -2), gprod)) if x.requires_grad else None
-        return (gx, gf) if bias is None else (gx, gf, g.reshape(-1, c).sum(axis=0))
+        return (gx, gf) if bias is None else (gx, gf, _colsum(g.reshape(-1, c)))
 
     return _emit("reassemble", inputs, out.reshape(*lead, sigma * h, sigma * w, c), grad_fn)
 

@@ -3,7 +3,11 @@
 Everything here is deliberately written as plain numpy (loops where that is
 the most obvious form) and shares no code with the package internals, so a
 bug in the production path cannot hide in its own oracle.  The exceptions
-are the taped entries at the end.  ``softmax`` and
+are the references that must agree with a kernel bit for bit:
+``softmax_naive``, ``layer_norm_naive``, ``stripe_attention_composition`` and
+``softmax`` take their row maxima and sums from the package's reductions
+(``T._rowmax``, ``T._rowsum``, ``T._colsum``), which test_tensor pins
+against numpy's; and the taped entries at the end.  ``softmax`` and
 ``conv2d_softmax_composition`` record package primitives on the package's
 tape, as the network did before those steps became one entry.
 ``layer_norm``, ``mlp`` and ``stripe_attention`` record the package's array
@@ -70,24 +74,32 @@ def gelu_naive(x):
     return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
+def _along(reduce, a, axis):
+    """A last-axis reduction of the package (``T._rowmax``, ``T._rowsum``)
+    applied along `axis`, keeping that axis."""
+    return np.moveaxis(reduce(np.moveaxis(a, axis, -1)), -1, axis)
+
+
 def softmax_naive(x, g, axis):
     """Max-shifted softmax along `axis` and the vector-Jacobian product with
-    g, as plain array expressions; returns (y, dx)."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-    return y, y * (g - (g * y).sum(axis=axis, keepdims=True))
+    g, as plain array expressions whose max and sums come from the package's
+    reductions; returns (y, dx)."""
+    e = np.exp(x - _along(T._rowmax, x, axis))
+    y = e / _along(T._rowsum, e, axis)
+    return y, y * (g - _along(T._rowsum, g * y, axis))
 
 
 def layer_norm_naive(x, gamma, beta, g, eps=1e-5):
     """Last-axis layer norm and its vector-Jacobian product with g, as plain
-    array expressions; returns (y, dx, dgamma, dbeta)."""
+    array expressions whose sums and means come from the package's row and
+    column sums; returns (y, dx, dgamma, dbeta)."""
     c = x.shape[-1]
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xc = x - T._rowsum(x) / c
+    inv = 1.0 / np.sqrt(T._rowsum(xc * xc) / c + eps)
     xhat = xc * inv
     dxhat = g * gamma
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return gamma * xhat + beta, dx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+    dx = inv * (dxhat - T._rowsum(dxhat) / c - xhat * (T._rowsum(dxhat * xhat) / c))
+    return gamma * xhat + beta, dx, T._colsum((g * xhat).reshape(-1, c)), T._colsum(g.reshape(-1, c))
 
 
 def dense_attention(tokens, wq, wk, wv):
@@ -278,8 +290,8 @@ def stripe_attention_composition(x, wqkv, wo, lepe, sw, g):
         qkv = np.matmul(plane.reshape(pp * qq, c), wg).reshape(3, n * (pp // sw), sw * qq, d)
         q, k, v = qkv
         s = np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2))) * scale
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(s - T._rowmax(s))
+        p = e / T._rowsum(e)
         y = np.matmul(p, v).reshape(n, pp, qq, d)
         taps = None
         if lepe is not None:
@@ -305,7 +317,7 @@ def stripe_attention_composition(x, wqkv, wo, lepe, sw, g):
         gy3 = gy.reshape(qkv.shape[1:])
         q, k, v = qkv
         gs = np.matmul(gy3, np.swapaxes(v, -1, -2))
-        gs = (gs - (gs * p).sum(axis=-1, keepdims=True)) * p * scale
+        gs = (gs - T._rowsum(gs * p)) * p * scale
         gattn = np.stack([
             np.matmul(gs, k),
             np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2),
@@ -513,13 +525,13 @@ def softmax(x, axis=-1):
     encoder conv before the two became one ``conv2d_softmax`` entry."""
     if x.shape[axis] == 0:
         raise DimensionError("softmax over an empty axis")
-    y = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
+    y = np.subtract(x.data, _along(T._rowmax, x.data, axis))
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= _along(T._rowsum, y, axis)
 
     def grad_fn(g):
         gx = np.multiply(g, y)
-        dot = gx.sum(axis=axis, keepdims=True)
+        dot = _along(T._rowsum, gx, axis)
         np.subtract(g, dot, out=gx)
         gx *= y
         return (gx,)

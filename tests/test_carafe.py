@@ -235,7 +235,7 @@ class TestFusedReassembly:
         np.testing.assert_array_equal(y.data, want + bias.data)
         np.testing.assert_array_equal(gx, want_gx)
         np.testing.assert_array_equal(gfield, want_gfield)
-        np.testing.assert_array_equal(gbias, g.reshape(-1, 2).sum(axis=0))
+        np.testing.assert_array_equal(gbias, T._colsum(g.reshape(-1, 2)))
         with pytest.raises(DimensionError):
             T.reassemble(x, field, Tensor(np.zeros(3), dtype=dtype))
 

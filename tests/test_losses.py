@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cswin_seg.errors import ConfigError, DataError
+from cswin_seg.errors import ConfigError, DataError, NumericError
 from cswin_seg.gradcheck import check_gradients
 from cswin_seg.losses import LossConfig, cross_entropy_loss, dice_loss
 from cswin_seg.tensor import Tape, Tensor, backward
@@ -106,6 +106,17 @@ class TestCombinedLoss:
             cfg = LossConfig(alpha=alpha, beta=beta)
             want = alpha * dice_loss(logits, labels, cfg.dice_smooth).item() + beta * cross_entropy_loss(logits, labels).item()
             assert abs(combined_loss(logits, labels, cfg)[0].item() - want) < 1e-9
+
+    def test_nan_logit_names_the_loss(self):
+        # the NaN reaches the Dice entry's output through its softmax's row
+        # max and sums and its per-image class sums
+        rng = np.random.default_rng(10)
+        logits = Tensor(rng.uniform(-1, 1, (2, 4, 4, 3)), dtype="f32", requires_grad=True)
+        logits.data[1, 2, 3, 1] = np.nan
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            loss, _, _ = combined_loss(logits, rng.integers(0, 3, (2, 4, 4)), LossConfig())
+        with pytest.raises(NumericError, match="op 'dice_loss'"):
+            backward(loss, tape)
 
     def test_default_weights(self):
         cfg = LossConfig()

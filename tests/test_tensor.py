@@ -75,6 +75,66 @@ class TestMatmul:
             T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
 
 
+class TestReductions:
+    """The row max, row sum and column sum behind every softmax, layer norm
+    and bias gradient: numpy's results without numpy's loop over rows."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    def test_rowmax_equals_numpy(self, dtype, lead):
+        rng = np.random.default_rng(50)
+        for n in range(1, 131):
+            x = rng.standard_normal((*lead, n)).astype(dtype)
+            got, want = T._rowmax(x), x.max(axis=-1, keepdims=True)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rowmax_keeps_nan_and_inf(self, dtype, value):
+        # row j holds the value at column j, so every column of every fold
+        # position is covered; a NaN row's max is NaN, as numpy's is
+        for n in range(1, 131):
+            x = np.random.default_rng(n).standard_normal((n, n)).astype(dtype)
+            np.fill_diagonal(x, value)
+            got, want = T._rowmax(x), x.max(axis=-1, keepdims=True)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.isnan(got).all() == np.isnan(value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 25), (2, 5, 64), (1000, 4), (9, 130)])
+    def test_sums_are_within_rounding_of_numpy(self, dtype, shape):
+        # each sum stays within n * eps * sum|x| of the f64 sum of its n terms
+        x = np.random.default_rng(52).uniform(-1, 1, shape).astype(dtype)
+        x64, eps = x.astype(np.float64), np.finfo(dtype).eps
+        got, want = T._rowsum(x), x64.sum(axis=-1, keepdims=True)
+        assert got.dtype == x.dtype and got.shape == want.shape
+        assert (np.abs(got - want) <= shape[-1] * eps * np.abs(x64).sum(axis=-1, keepdims=True)).all()
+        if x.ndim >= 2:
+            got, want = T._colsum(x), x64.sum(axis=-2)
+            assert got.dtype == x.dtype and got.shape == want.shape
+            assert (np.abs(got - want) <= shape[-2] * eps * np.abs(x64).sum(axis=-2)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(33, 25), (4, 7, 64), (1000, 9)])
+    def test_same_values_give_the_same_bits(self, dtype, shape):
+        # runs stay deterministic: the result depends on the values only,
+        # not on memory order, strides or the buffer's alignment
+        x = np.random.default_rng(53).standard_normal(shape).astype(dtype)
+        wide = np.empty(shape[:-1] + (2 * shape[-1],), dtype=dtype)
+        wide[..., ::2] = x
+        forms = [np.asfortranarray(x), wide[..., ::2]]
+        for offset in range(1, 16):
+            buf = np.empty(x.size + offset, dtype=dtype)
+            forms.append(buf[offset:].reshape(shape))
+            forms[-1][...] = x
+        for reduce in (T._rowmax, T._rowsum, T._colsum):
+            want = reduce(x)
+            for form in forms:
+                assert np.array_equal(form, x)
+                assert reduce(form).tobytes() == want.tobytes()
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = softmax(Tensor([0.0, 0.0]))
@@ -807,6 +867,30 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         y = x * x
         assert y.requires_grad is False
+
+
+class TestNaNReachesBackward:
+    """A NaN passes through every row max and sum to the output of the op
+    it enters, so backward's scan names that op."""
+
+    @pytest.mark.parametrize("sw", [1, 2])
+    def test_stripe_attention(self, sw):
+        rng = np.random.default_rng(61)
+        x, wqkv, wo, _ = _stripe_inputs(rng, 4, 6, 8, 2, False, "f32")
+        gamma, beta = randt(rng, (8,), "f32", True), randt(rng, (8,), "f32", True)
+        x.data[1, 2, 5] = np.nan
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            loss = T.tsum(T.residual_stripe_attention(x, gamma, beta, wqkv, wo, None, sw))
+        with pytest.raises(NumericError, match="op 'stripe_attention'"):
+            backward(loss, tape)
+
+    def test_conv2d_softmax(self):
+        x, w, b, g = TestConv2dSoftmax._operands("f32", (2,))
+        w.data[1, 1, 0, 3] = np.nan
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            loss = T.tsum(T.conv2d_softmax(x, w, b, 4, padding=1) * g)
+        with pytest.raises(NumericError, match="op 'conv2d_softmax'"):
+            backward(loss, tape)
 
 
 class TestDeterminism:
