@@ -1,4 +1,4 @@
-"""Content-aware reassembly upsampling.
+"""Content-aware reassembly upsampling, and bilinear upsampling as a fixed-kernel reassembly.
 
 Each output pixel gets its own k_up x k_up kernel, predicted from the
 input features (1x1 channel compressor, then a context-encoder conv with
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import tensor
 from .errors import ConfigError, DimensionError
@@ -117,3 +119,18 @@ def reassemble(x: Tensor, field: Tensor, config: UpsampleConfig, bias: Optional[
 
 def carafe_upsample(x: Tensor, params: KernelPredictorParams, config: UpsampleConfig) -> Tensor:
     return reassemble(x, predict_kernels(x, params, config), config)
+
+
+def bilinear_field(h: int, w: int, sigma: int, dtype) -> np.ndarray:
+    """The [h, w, sigma^2, 9] field of bilinear upsampling by sigma: output
+    row i*sigma + di samples source row (i*sigma + di + 0.5)/sigma - 0.5
+    (half-pixel centres), clamped to the edges, within half a pixel of row
+    i, so its weights sit on offsets -1, 0, +1.  Columns alike; each kernel
+    is the outer product of its row and column weights and sums to one."""
+
+    def weights(n):  # [n, sigma, 3]: the weights of offsets -1, 0, +1
+        src = np.clip((np.arange(n * sigma) + 0.5) / sigma - 0.5, 0, n - 1).reshape(n, sigma, 1)
+        return np.maximum(0.0, 1.0 - np.abs(src - np.arange(n).reshape(n, 1, 1) - np.arange(-1, 2)))
+
+    field = weights(h)[:, None, :, None, :, None] * weights(w)[None, :, None, :, None, :]  # [h, w, di, dj, a, b]
+    return field.reshape(h, w, sigma * sigma, 9).astype(dtype)

@@ -46,12 +46,12 @@ class Checkpoint:
 
 
 def snapshot(model: Model, optimizer: SGD | None = None, iteration: int = 0, rng_state: dict | None = None) -> Checkpoint:
-    """Copy the model's parameters and the optimizer's momenta; ``rng_state``
-    is a ``bit_generator.state`` dict, such as the one ``train`` returns."""
-    params = {name: Tensor(t.data.copy()) for name, t in model.named_parameters()}
+    """The model's parameters and the optimizer's momenta, not copied: valid
+    until the next update.  ``rng_state`` is a ``bit_generator.state`` dict."""
+    params = dict(model.named_parameters())
     momenta = {}
     if optimizer is not None:
-        momenta = {name: Tensor(v.copy()) for name, v in optimizer.state().items()}
+        momenta = {name: Tensor(v) for name, v in optimizer.state().items()}
     return Checkpoint(config=model.config, params=params, momenta=momenta, iteration=iteration, rng_state=rng_state)
 
 

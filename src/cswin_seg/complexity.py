@@ -5,13 +5,13 @@ the architecture is declared once.  FLOPs are exact functions of the
 configuration that count one multiply-accumulate as one FLOP, the
 convention the published complexity figures for this family of models use.
 Only matrix products and convolutions are counted; normalization, softmax
-and activations are ignored.  Bilinear upsampling is counted as the two
-dense interpolation matmuls it runs.  Each layer kind has one formula,
-which ``flops_breakdown`` sums over the network.
+and activations are ignored.  Bilinear upsampling is counted as the
+reassembly it runs, CARAFE's with fixed 3x3 kernels.  Each layer kind has
+one formula, which ``flops_breakdown`` sums over the network.
 
 The count is the architecture's: each upsample, then its 1x1 conv, the
-order the published figures assume.  With CARAFE the network runs each of
-those convs before its reassembly, at the source resolution
+order the published figures assume.  With CARAFE (and bilinear) the network
+runs each of those convs before its reassembly, at the source resolution
 (``network.Model.upsample_project``), so it executes fewer MACs than
 counted here.  At the default config a forward executes 11.3 instead of
 80.3 MMAC of head reassembly, 1.8 instead of 28.9 in the classifier, 8.8
@@ -96,12 +96,10 @@ def _upsampler_macs(channels: int, sigma: int, in_res: int, cfg: NetworkConfig) 
         kernels = sigma * sigma * cfg.carafe_k_up**2
         conv = _conv_macs(1, channels, cfg.carafe_c_mid, in_res)
         conv += _conv_macs(cfg.carafe_k_encoder, cfg.carafe_c_mid, kernels, in_res)
-        reass = out_res * out_res * cfg.carafe_k_up**2 * channels
-        return conv, reass
+        return conv, out_res * out_res * cfg.carafe_k_up**2 * channels
     if cfg.upsampler == "transposed_conv":
         return out_res * out_res * channels * channels, 0
-    # bilinear: [sigma*n, n] interpolation matmuls along the rows, then the columns
-    return 0, sigma * (1 + sigma) * in_res**3 * channels
+    return 0, out_res * out_res * 9 * channels  # bilinear: CARAFE's reassembly with fixed 3x3 kernels
 
 
 def flops_breakdown(cfg: NetworkConfig) -> dict[str, int]:

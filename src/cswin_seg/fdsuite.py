@@ -132,7 +132,6 @@ CASES = {
     "conv2d": _op(_CONV, {"x": (6, 6, 2), "w": (3, 3, 2, 4), "b": (4,)}),
     "permute_reshape_concat": _op(_structural, {"x": (3, 4, 2)}),
     "matmul_shared_batch": _op(T.matmul, {"a": (2, 3, 4, 9), "b": (2, 3, 9, 2)}),
-    "upsample_bilinear": _op(partial(T.upsample_bilinear, factor=2), {"x": (3, 4, 2)}),
     "transposed_conv_upsample": _op(
         partial(transposed_conv_upsample, sigma=2), {"x": (3, 3, 4), "w": (2, 2, 4, 4), "b": (4,)}
     ),

@@ -7,7 +7,7 @@ depths, same stripe widths per stage): blocks, then a 2x upsample with a
 1x1 channel-halving conv, then optional fusion with the encoder skip at
 that scale (channel concat + 1x1 reduction).  A final 4x upsample and a
 per-pixel linear classifier produce logits at input resolution.  With
-CARAFE, each 1x1 conv after an upsample runs before it (``Model.upsample_project``).
+CARAFE or bilinear, each 1x1 conv after an upsample runs before it (``Model.upsample_project``).
 
 Channel widths are C, 2C, 4C, 8C at scales 1/4, 1/8, 1/16, 1/32.  Skip
 connections sit at 1/4, 1/8 and 1/16 and are dropped coarsest-first when
@@ -37,7 +37,6 @@ from .tensor import (
     permute,
     pixel_shuffle,
     reshape,
-    upsample_bilinear,
 )
 
 UPSAMPLERS = ("carafe", "bilinear", "transposed_conv")
@@ -301,21 +300,22 @@ class Model:
     def upsample_project(self, x: Tensor, up, proj: ConvParams, sigma: int) -> Tensor:
         """Upsample x by sigma with the upsampler params ``up``, then the 1x1 conv ``proj``.
 
-        Reassembly is linear in its input, so with CARAFE the conv runs
-        first, at the source resolution, and the reassembly adds its bias
-        (on border pixels the in-bounds kernel mass is below one, so the
-        conv must not).  The other upsamplers keep the order.
+        CARAFE and bilinear reassemble under a predicted and a fixed kernel
+        field; reassembly is linear in its input, so the conv runs first, at
+        the source resolution, and the reassembly adds its bias (on border
+        pixels the in-bounds kernel mass is below one, so the conv must
+        not).  The transposed conv keeps the order.
         """
         kind = self.config.upsampler
+        if kind == "transposed_conv":
+            return conv2d(transposed_conv_upsample(x, up.w, up.b, sigma), proj.w, proj.b)
         if kind == "carafe":
             cfg = self.config.upsample_config(sigma)
             field = carafe.predict_kernels(x, up, cfg)
-            return carafe.reassemble(conv2d(x, proj.w), field, cfg, bias=proj.b)
-        if kind == "transposed_conv":
-            x = transposed_conv_upsample(x, up.w, up.b, sigma)
-        else:
-            x = upsample_bilinear(x, sigma)
-        return conv2d(x, proj.w, proj.b)
+        else:  # bilinear: a fixed field, broadcast over the leading axes
+            cfg, field = UpsampleConfig(sigma, k_up=3), carafe.bilinear_field(*x.shape[-3:-1], sigma, x.data.dtype)
+            field = Tensor(np.broadcast_to(field, (*x.shape[:-1], *field.shape[-2:])))
+        return carafe.reassemble(conv2d(x, proj.w), field, cfg, bias=proj.b)
 
     def skip_fuse(self, up: Tensor, skip: Tensor, conv: ConvParams) -> Tensor:
         if up.shape != skip.shape:

@@ -30,9 +30,9 @@ Design notes:
     stand-alone layer_norm, attention or mlp entry exists: the array kernels
     (``_layer_norm``, ``_stripe``, ``_mlp`` and their backward functions)
     run only inside the half-blocks.
-  * CARAFE reassembly is one primitive, ``reassemble``; the rest of the
-    upsampler (``carafe.py``) is core ops.  Bilinear upsampling is a
-    composition: two ``matmul``s against fixed interpolation matrices.
+  * Reassembly is one primitive, ``reassemble``; the rest of the CARAFE
+    upsampler (``carafe.py``) is core ops.  Bilinear upsampling is the same
+    primitive under a fixed 3x3 kernel field (``carafe.bilinear_field``).
   * The im2col gather behind conv2d, reassemble and the LePE term is one
     copy out of a ``sliding_window_view`` of the zero-padded input.
   * Forward ops never check for NaN/Inf; ``backward`` validates the loss
@@ -943,26 +943,6 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         return (gy.reshape(x.shape), *gw)
 
     return _residual("mlp", x, gamma, beta, (w1, b1, w2, b2), f, f_backward, eps)
-
-
-def _interp_matrix(n: int, factor: int, dtype) -> np.ndarray:
-    """[factor*n, n] linear-interpolation weights: output i samples source
-    coordinate (i + 0.5)/factor - 0.5 (half-pixel centres), clamped to the
-    edge pixels."""
-    src = np.clip((np.arange(n * factor) + 0.5) / factor - 0.5, 0, n - 1)
-    return np.maximum(0.0, 1.0 - np.abs(src[:, None] - np.arange(n))).astype(dtype)
-
-
-def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling of [..., H,W,C] by an integer factor: one matmul
-    along the rows, one along the columns, against fixed interpolation
-    matrices."""
-    if x.ndim < 3:
-        raise DimensionError(f"upsample_bilinear expects [..., H,W,C], got {x.shape}")
-    *lead, h, w, c = x.shape
-    dtype = x.data.dtype
-    rows = matmul(Tensor(_interp_matrix(h, factor, dtype)), reshape(x, (*lead, h, w * c)))
-    return matmul(Tensor(_interp_matrix(w, factor, dtype)), reshape(rows, (*lead, factor * h, w, c)))
 
 
 def pixel_shuffle(x: Tensor, factor: int, tail: int) -> Tensor:

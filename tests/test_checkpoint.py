@@ -167,6 +167,30 @@ class TestRoundtrip:
         size = os.path.getsize(p)
         assert peak <= 0.5 * size, f"peak {peak / size:.2f}x the file size"
 
+    def test_snapshot_references_parameters_and_momenta(self, tmp_path):
+        # a snapshot is saved before the next update, so it copies nothing
+        model = Model.create(tiny_config(), seed=0)
+        opt = SGD(model.named_parameters(), OptimizerConfig(lr=0.01))
+        for _, t in model.named_parameters():
+            t.grad = np.ones_like(t.data)
+        opt.step()
+        p = tmp_path / "m.ckpt"
+        tracemalloc.start()
+        try:
+            ckpt = snapshot(model, opt)
+            save_checkpoint(p, ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for name, t in model.named_parameters():
+            assert np.shares_memory(ckpt.params[name].data, t.data), name
+        for name, v in opt.state().items():
+            assert np.shares_memory(ckpt.momenta[name].data, v), name
+        param_bytes = sum(t.data.nbytes for t in model.parameters())
+        assert peak < param_bytes, f"peak {peak / param_bytes:.2f}x the parameter bytes"
+        back = load_checkpoint(p)
+        assert all((back.momenta[name].data == v).all() for name, v in opt.state().items())
+
 
 class TestNegativePaths:
     def test_truncated_file(self, tmp_path):

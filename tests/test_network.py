@@ -19,10 +19,10 @@ from cswin_seg.network import (
     tiny_config,
     transposed_conv_upsample,
 )
-from cswin_seg.tensor import Tape, Tensor, backward, conv2d, tsum, upsample_bilinear
+from cswin_seg.tensor import Tape, Tensor, backward, conv2d, tsum
 from cswin_seg.train import combined_loss
 
-from oracles import dense_attention_macs, reassemble_naive, reassemble_then_conv1x1
+from oracles import dense_attention_macs, reassemble_naive, reassemble_then_conv1x1, upsample_bilinear_naive
 
 
 def micro_config(**overrides):
@@ -327,15 +327,24 @@ class TestUpsampleProject:
 
     @pytest.mark.parametrize("upsampler", ["bilinear", "transposed_conv"])
     def test_other_upsamplers_keep_their_order(self, upsampler):
-        model = Model.create(micro_config(upsampler=upsampler), seed=1)
+        # bilinear is a reassembly under a fixed field, so it projects first
+        # as CARAFE does; the transposed conv upsamples, then projects
+        dtype = "f64" if upsampler == "bilinear" else "f32"
+        model = Model.create(micro_config(upsampler=upsampler), seed=1, dtype=dtype)
         up, proj, c = _upsampler_and_projection(model, 2)
-        x = Tensor(np.random.default_rng(1).uniform(-1, 1, (4, 4, c)).astype(np.float32))
+        rng = np.random.default_rng(1)
+        proj.b.data[:] = rng.uniform(-1, 1, proj.b.shape)
+        x = Tensor(rng.uniform(-1, 1, (4, 5, c)), dtype=dtype, requires_grad=True)
+        with Tape() as tape:
+            got = model.upsample_project(x, up, proj, 2).data
         if upsampler == "bilinear":
-            upsampled = upsample_bilinear(x, 2)
+            cout = proj.w.shape[3]
+            assert [(op, out.shape) for _, out, _, op in tape.entries] == [("conv2d", (4, 5, cout)), ("reassemble", (8, 10, cout))]
+            want = upsample_bilinear_naive(x.data, 2) @ proj.w.data[0, 0] + proj.b.data
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         else:
-            upsampled = transposed_conv_upsample(x, up.w, up.b, 2)
-        want = conv2d(upsampled, proj.w, proj.b).data
-        np.testing.assert_array_equal(model.upsample_project(x, up, proj, 2).data, want)
+            want = conv2d(transposed_conv_upsample(x, up.w, up.b, 2), proj.w, proj.b).data
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGradientsReachEverything:
@@ -617,11 +626,15 @@ class TestCounting:
 
     @pytest.mark.parametrize("n, sigma, channels", [(5, 2, 3), (7, 4, 2)])
     def test_bilinear_macs_match_taped_matmuls(self, n, sigma, channels):
-        x = Tensor(np.ones((n, n, channels), np.float32), requires_grad=True)
+        # the network projects first, so the reassembly runs on the projected channels
+        cfg = tiny_config(upsampler="bilinear")
+        proj = ConvParams(Tensor(np.ones((1, 1, 3, channels), np.float32)), Tensor(np.zeros(channels, np.float32)))
+        x = Tensor(np.ones((n, n, 3), np.float32), requires_grad=True)
         with Tape() as tape:
-            upsample_bilinear(x, sigma)
-        runtime = sum(math.prod(out.shape) * ins[0].shape[-1] for ins, out, _fn, op in tape.entries if op == "matmul")
-        assert runtime == complexity._upsampler_macs(channels, sigma, n, tiny_config(upsampler="bilinear"))[1]
+            Model.create(micro_config(upsampler="bilinear")).upsample_project(x, None, proj, sigma)
+        # each source pixel runs one [sigma^2, 9] x [9, C] matmul
+        runtime = sum(math.prod(out.shape) * ins[1].shape[-1] for ins, out, _fn, op in tape.entries if op == "reassemble")
+        assert runtime == complexity._upsampler_macs(channels, sigma, n, cfg)[1]
 
     def test_attention_flops_follow_stripe_formula(self):
         # closed form vs explicit enumeration over stripes and heads

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cswin_seg import tensor as T
+from cswin_seg.carafe import bilinear_field
 from cswin_seg.errors import ContractError, DimensionError, FormatError, NumericError
 from cswin_seg.gradcheck import check_gradients, numeric_grad
 from cswin_seg.tensor import Tape, Tensor, backward
@@ -754,28 +755,44 @@ class TestStructural:
                             assert out.data[i * sigma + di, j * sigma + dj, t] == src
 
 
+def _bilinear(x, factor):
+    """Bilinear upsampling as the network runs it: ``reassemble`` under the
+    fixed field, broadcast over x's leading axes."""
+    field = bilinear_field(*x.shape[-3:-1], factor, x.data.dtype)
+    return T.reassemble(x, Tensor(np.broadcast_to(field, (*x.shape[:-1], *field.shape[-2:]))))
+
+
 class TestUpsample:
     def test_bilinear_constant_preserved(self):
+        for factor in (1, 2, 3, 4):
+            field = bilinear_field(3, 4, factor, np.float64)
+            assert field.shape == (3, 4, factor * factor, 9)
+            np.testing.assert_allclose(field.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
         x = Tensor(np.full((3, 3, 2), 1.25))
-        out = T.upsample_bilinear(x, 2)
+        out = _bilinear(x, 2)
         np.testing.assert_allclose(out.data, 1.25, atol=1e-6)
 
     def test_bilinear_matches_four_corner_oracle(self):
+        # borders, non-square and one-pixel-wide maps, with and without a batch axis
         rng = np.random.default_rng(21)
-        x = rng.uniform(-1, 1, (5, 3, 2))
-        for dtype, tol in (("f64", 1e-12), ("f32", 1e-6)):
-            xt = Tensor(x, dtype=dtype)
-            for factor in (1, 2, 3, 4):
-                got = T.upsample_bilinear(xt, factor)
-                assert got.shape == (5 * factor, 3 * factor, 2) and got.dtype == dtype
-                want = upsample_bilinear_naive(xt.data, factor)
-                np.testing.assert_allclose(got.data, want, rtol=0, atol=tol, err_msg=f"{dtype} factor {factor}")
+        for shape in ((5, 3, 2), (1, 4, 3), (4, 1, 2), (1, 1, 2), (2, 5, 3, 2)):
+            x = rng.uniform(-1, 1, shape)
+            for dtype, tol in (("f64", 1e-12), ("f32", 1e-6)):
+                xt = Tensor(x, dtype=dtype)
+                for factor in (1, 2, 3, 4):
+                    got = _bilinear(xt, factor)
+                    h, w, c = shape[-3:]
+                    assert got.shape == (*shape[:-3], h * factor, w * factor, c) and got.dtype == dtype
+                    images = xt.data.reshape(-1, h, w, c)
+                    want = np.stack([upsample_bilinear_naive(im, factor) for im in images]).reshape(got.shape)
+                    err = np.abs(got.data - want).max() / np.abs(want).max()
+                    assert err <= tol, f"{shape} {dtype} factor {factor}: relative error {err:.2e}"
 
     def test_bilinear_gradient(self):
         rng = np.random.default_rng(20)
         x = randt(rng, (3, 4, 2))
         w = Tensor(rng.uniform(-1, 1, (6, 8, 2)), dtype="f64")
-        check_gradients(lambda: T.tsum(T.upsample_bilinear(x, 2) * w), [("x", x)])
+        check_gradients(lambda: T.tsum(_bilinear(x, 2) * w), [("x", x)])
 
 
 class TestBackward:
